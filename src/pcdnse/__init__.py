@@ -55,11 +55,9 @@ from .model_continuum import (
     make_soliton_field,
     mean_velocity,
     particle_number,
-    pcdnse_rhs,
     sech,
 )
 from .model_effective import (
-    chain_effective_rhs,
     chain_energy,
     chain_hamiltonian_gradient,
     energy_decay_rate,
@@ -68,13 +66,9 @@ from .model_effective import (
     make_chain_ode,
 )
 from .model_full import (
-    FullState,
-    full_rhs,
     make_full_ode,
-    pack_full_state,
     rotating_frame_to_effective,
     steady_state_cavities,
-    unpack_full_state,
 )
 from .experiments import (
     ConfigError,

@@ -52,7 +52,7 @@ from .model_continuum import (
     make_soliton_field,
     particle_number,
 )
-from .model_effective import chain_energy, make_chain_ode
+from .model_effective import make_chain_ode
 from .model_full import (
     make_full_ode,
     rotating_frame_to_effective,
@@ -445,7 +445,16 @@ def _diagnostics_and_flags(times, n_series, e_series, peak_series, gamma,
     return diag
 
 
-def _initial_field(cfg, eff, domain_length, n_points, boundary) -> FieldState:
+def _initial_field(cfg, eff) -> FieldState:
+    """Initial field on the configured grid; a lattice is the dx = 1 grid."""
+    if cfg["model"] == "pcdnse":
+        grid = cfg["grid"]
+        domain_length, n_points = grid["domain_length"], grid["n_points"]
+        boundary = grid["boundary"]
+    else:
+        n_points, boundary = cfg["sites"], cfg["boundary"]
+        domain_length = float(n_points if boundary == PERIODIC
+                              else n_points - 1)
     init = cfg["initial"]
     if "field_file" in init:
         path = Path(init["field_file"])
@@ -471,49 +480,28 @@ def _dispatch_run(cfg, model, eff, res, chain, times, solver, out_dir,
         "rhs_evaluations": series.stats.n_rhs,
     }
 
-    if model == "pcdnse":
-        grid = cfg["grid"]
-        field0 = _initial_field(cfg, eff, grid["domain_length"],
-                                grid["n_points"], grid["boundary"])
-        problem = OdeProblem(make_pcdnse_ode(field0, eff), 0.0, times[-1],
-                             field0.psi)
-        series = solve(problem, solver)
-        fields = [field0.with_psi(s) for s in series.states]
-        n_series = [particle_number(f) for f in fields]
-        e_series = [field_energy(f, eff) for f in fields]
-        peak = [float(np.max(np.abs(f.psi))) for f in fields]
-        _write_field_outputs(out_dir, fields, series.times, cfg, files)
-        diag = _diagnostics_and_flags(series.times, n_series, e_series, peak,
-                                      eff.gamma, out_dir, files)
-        return {"integrator": stats_dict(series), "diagnostics": diag}
-
-    if model in ("lattice", "langevin"):
-        sites = cfg["sites"]
-        boundary = cfg["boundary"]
-        domain = float(sites) if boundary == PERIODIC else float(sites - 1)
-        field0 = _initial_field(cfg, eff, domain, sites, boundary)
-        if model == "lattice":
-            problem = OdeProblem(make_chain_ode(eff, boundary), 0.0,
-                                 times[-1], field0.psi)
-            series = solve(problem, solver)
-            site_series = series
-        else:
-            cavities = steady_state_cavities(res, sites)
-            y0 = np.concatenate([cavities, field0.psi])
+    if model in ("pcdnse", "lattice", "langevin"):
+        field0 = _initial_field(cfg, eff)
+        if model == "langevin":
+            y0 = np.concatenate([steady_state_cavities(res, field0.n_points),
+                                 field0.psi])
             problem = OdeProblem(make_full_ode(res, chain), 0.0, times[-1], y0)
             series = solve(problem, solver)
             site_series = rotating_frame_to_effective(series, res, chain)
+        else:
+            problem = OdeProblem(make_pcdnse_ode(field0, eff), 0.0, times[-1],
+                                 field0.psi)
+            series = site_series = solve(problem, solver)
         fields = [field0.with_psi(s) for s in site_series.states]
-        n_series = [float(np.sum(np.abs(f.psi) ** 2)) for f in fields]
-        e_series = [chain_energy(f.psi, eff, boundary) for f in fields]
+        n_series = [particle_number(f) for f in fields]
+        e_series = [field_energy(f, eff) for f in fields]
         peak = [float(np.max(np.abs(f.psi))) for f in fields]
         _write_field_outputs(out_dir, fields, site_series.times, cfg, files)
         diag = _diagnostics_and_flags(site_series.times, n_series, e_series,
                                       peak, eff.gamma, out_dir, files)
         if model == "langevin":
             diag.pop("energy_conserved", None)  # effective-frame energy only
-            b_max = max(float(np.max(np.abs(f.psi))) for f in fields)
-            r1, r2 = weak_coupling_ratios(res, chain, b_max)
+            r1, r2 = weak_coupling_ratios(res, chain, max(peak))
             diag["weak_coupling"] = {
                 "r1": r1, "r2": r2,
                 "advisory_threshold": WEAK_COUPLING_ADVISORY,
@@ -696,12 +684,35 @@ def _fig3_single_size(sites: int, delta: float, g: float, gamma: float,
     }
 
 
-def _guarded(fn: Callable[..., dict], *args) -> dict:
-    """Run one experiment sub-job, mapping failure to a recordable row."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # noqa: BLE001 - partial datasets are allowed
-        return {"failed": True, "error": f"{type(exc).__name__}: {exc}"}
+def _run_jobs(fn: Callable[..., dict], jobs, threads: int
+              ) -> tuple[list[dict], list[str]]:
+    """Run ``fn(*job)`` for every job on a thread pool, keeping job order.
+
+    Returns the rows of the sub-runs that finished and one error message
+    per sub-run that raised: partial datasets are allowed.
+    """
+    def guarded(job) -> tuple[dict | None, str | None]:
+        try:
+            return fn(*job), None
+        except Exception as exc:  # noqa: BLE001 - recorded in the report
+            return None, f"{type(exc).__name__}: {exc}"
+
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        results = list(pool.map(guarded, jobs))
+    return ([row for row, error in results if error is None],
+            [error for _, error in results if error is not None])
+
+
+def _finish_report(out_dir: Path, files: list[Path], report: dict) -> dict:
+    """Write ``report.json`` and the manifest of every file written."""
+    files.append(io.write_json(out_dir / "report.json", report))
+    io.write_manifest(out_dir, files, {"experiment": report["experiment"]})
+    return report
+
+
+def _tag(name: str, value: float) -> str:
+    """File-name label such as ``gamma_m0p0125`` for gamma = -0.0125."""
+    return f"{name}_{value:g}".replace("-", "m").replace(".", "p")
 
 
 def run_fig3a(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
@@ -727,20 +738,16 @@ def run_fig3a(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict
         solver_preset("pcdnse", snapshot_times=np.array([0.0, 25.0, 50.0])))
     occ_ref = np.abs(ref_series.states[-1]) ** 2
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        rows = list(pool.map(
-            lambda sites: _guarded(_fig3_single_size, sites, -0.1, -0.1, 0.05),
-            sizes))
+    rows, failures = _run_jobs(
+        _fig3_single_size, [(sites, -0.1, -0.1, 0.05) for sites in sizes],
+        threads)
 
     files = [io.write_table_csv(out_dir / "pcdnse_reference.csv", {
         "x": field_ref.x, "occupation": occ_ref,
     })]
 
-    failures = [r["error"] for r in rows if r.get("failed")]
     table_rows = []
     for row in rows:
-        if row.get("failed"):
-            continue
         scale = row["scale"]
         x_rescaled = row["x_sites"] / scale
         cmp_lat = compare_profiles(x_rescaled, row["occ_lattice"] * scale**2,
@@ -776,11 +783,9 @@ def run_fig3a(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict
     checks["continuum_error_improves_with_length"] = bool(
         len(errs) >= 2 and errs[-1] < errs[0])
     checks["largest_size_tracks_continuum"] = bool(errs and errs[-1] < 0.5)
-    report = {"experiment": "fig3a", "rows": table_rows, "checks": checks,
-              "failures": failures}
-    files.append(io.write_json(out_dir / "report.json", report))
-    io.write_manifest(out_dir, files, {"experiment": "fig3a"})
-    return report
+    return _finish_report(out_dir, files, {
+        "experiment": "fig3a", "rows": table_rows, "checks": checks,
+        "failures": failures})
 
 
 def run_fig3b(out_dir: str | Path, full: bool = False,
@@ -802,18 +807,14 @@ def run_fig3b(out_dir: str | Path, full: bool = False,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = [pool.submit(_guarded, _fig3_single_size, sites, d,
-                               -0.1, 0.05)
-                   for sites, d in ((800, -0.1), (400, -2.0))]
-        rows = [f.result() for f in futures]
+    rows, failures = _run_jobs(
+        _fig3_single_size,
+        [(sites, d, -0.1, 0.05) for sites, d in ((800, -0.1), (400, -2.0))],
+        threads)
 
     files = []
-    failures = [r["error"] for r in rows if r.get("failed")]
-    good = [r for r in rows if not r.get("failed")]
-    for row in good:
-        tag = (f"delta_{row['delta']:g}_L{row['sites']}"
-               .replace("-", "m").replace(".", "p"))
+    for row in rows:
+        tag = f"{_tag('delta', row['delta'])}_L{row['sites']}"
         files.append(io.write_table_csv(out_dir / f"profiles_{tag}.csv", {
             "site": row["x_sites"],
             "occ_langevin": row["occ_langevin"],
@@ -823,7 +824,7 @@ def run_fig3b(out_dir: str | Path, full: bool = False,
             row.pop(k)
 
     checks = {}
-    for row in good:
+    for row in rows:
         if row["delta"] == -0.1:
             checks["weak_detuning_agrees"] = bool(
                 row["linf_rel_langevin_vs_lattice"] < 0.05)
@@ -833,11 +834,9 @@ def run_fig3b(out_dir: str | Path, full: bool = False,
                 row["linf_rel_langevin_vs_lattice"] > 0.05)
             checks["strong_detuning_flagged"] = bool(
                 not row["weak_coupling_ok"])
-    report = {"experiment": "fig3b", "rows": good, "checks": checks,
-              "failures": failures}
-    files.append(io.write_json(out_dir / "report.json", report))
-    io.write_manifest(out_dir, files, {"experiment": "fig3b"})
-    return report
+    return _finish_report(out_dir, files, {
+        "experiment": "fig3b", "rows": rows, "checks": checks,
+        "failures": failures})
 
 
 def _fig4_single_gamma(gamma: float, tight: bool) -> dict:
@@ -883,30 +882,21 @@ def run_fig4(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
     red = [0.0125, 0.025, 0.05, 0.1]
     jobs = [(gamma, False) for gamma in red] + [(-0.0125, True)]
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        rows = list(pool.map(lambda job: _guarded(_fig4_single_gamma, *job),
-                             jobs))
-    failures = [r["error"] for r in rows if r.get("failed")]
-    rows = [r for r in rows if not r.get("failed")]
+    rows, failures = _run_jobs(_fig4_single_gamma, jobs, threads)
 
     files = [io.write_table_csv(out_dir / "damping.csv", {
-        "gamma": np.array([r["gamma"] for r in rows]),
-        "g_gamma_psi4": np.array([r["g_gamma_psi4"] for r in rows]),
-        "measured_rate": np.array([r["measured_rate"] for r in rows]),
-        "predicted_rate": np.array([r["predicted_rate"] for r in rows]),
-        "relative_error": np.array([r["relative_error"] for r in rows]),
-    })]
+        key: np.array([r[key] for r in rows])
+        for key in ("gamma", "g_gamma_psi4", "measured_rate",
+                    "predicted_rate", "relative_error")})]
 
     checks = {}
     for r in rows:
-        tag = f"gamma_{r['gamma']:g}".replace("-", "m").replace(".", "p")
+        tag = _tag("gamma", r["gamma"])
         tol = 0.10 if r["tight_tolerances"] else 0.05
         checks[f"damping_matches_{tag}"] = bool(r["relative_error"] < tol)
-    report = {"experiment": "fig4", "rows": rows, "checks": checks,
-              "failures": failures}
-    files.append(io.write_json(out_dir / "report.json", report))
-    io.write_manifest(out_dir, files, {"experiment": "fig4"})
-    return report
+    return _finish_report(out_dir, files, {
+        "experiment": "fig4", "rows": rows, "checks": checks,
+        "failures": failures})
 
 
 def _fig5_single_delta(delta: float, gamma: float, full: bool) -> dict:
@@ -1002,17 +992,14 @@ def run_fig5(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
     gamma = 0.1
     deltas = (-0.1, 0.01, 0.3)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        rows = list(pool.map(
-            lambda d: _guarded(_fig5_single_delta, d, gamma, full), deltas))
-    failures = [r["error"] for r in rows if r.get("failed")]
-    rows = [r for r in rows if not r.get("failed")]
+    rows, failures = _run_jobs(
+        _fig5_single_delta, [(d, gamma, full) for d in deltas], threads)
 
     files = []
     checks = {}
     summary_rows = []
     for row in rows:
-        tag = f"delta_{row['delta']:g}".replace("-", "m").replace(".", "p")
+        tag = _tag("delta", row["delta"])
         files.append(io.write_table_csv(out_dir / f"short_peak_{tag}.csv", {
             "t": row["short_times"], "peak_amplitude": row["short_peak"],
         }))
@@ -1052,11 +1039,9 @@ def run_fig5(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
             checks["negative_perturbation_survives"] = bool(
                 row["breakup_time"] is None)
 
-    report = {"experiment": "fig5", "gamma": gamma, "rows": summary_rows,
-              "checks": checks, "failures": failures}
-    files.append(io.write_json(out_dir / "report.json", report))
-    io.write_manifest(out_dir, files, {"experiment": "fig5"})
-    return report
+    return _finish_report(out_dir, files, {
+        "experiment": "fig5", "gamma": gamma, "rows": summary_rows,
+        "checks": checks, "failures": failures})
 
 
 def _fig6_single_gamma(gamma: float) -> dict:
@@ -1123,17 +1108,14 @@ def run_fig6(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     gammas = (0.0, 0.01)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        rows = list(pool.map(lambda g: _guarded(_fig6_single_gamma, g),
-                             gammas))
-    failures = [r["error"] for r in rows if r.get("failed")]
-    rows = [r for r in rows if not r.get("failed")]
+    rows, failures = _run_jobs(_fig6_single_gamma,
+                               [(g,) for g in gammas], threads)
 
     files = []
     checks = {}
     summary = []
     for row in rows:
-        tag = f"gamma_{row['gamma']:g}".replace("-", "m").replace(".", "p")
+        tag = _tag("gamma", row["gamma"])
         files.append(io.write_table_csv(out_dir / f"energy_{tag}.csv", {
             "t": row["times"], "e_two": row["e_two"],
             "e_single_pred": row["e_single_pred"], "ratio": row["ratio"],
@@ -1150,11 +1132,9 @@ def run_fig6(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
             checks["collision_enhances_dissipation"] = bool(
                 1.0 - row["final_ratio"] >= row["pre_collision_band"])
 
-    report = {"experiment": "fig6", "rows": summary, "checks": checks,
-              "failures": failures}
-    files.append(io.write_json(out_dir / "report.json", report))
-    io.write_manifest(out_dir, files, {"experiment": "fig6"})
-    return report
+    return _finish_report(out_dir, files, {
+        "experiment": "fig6", "rows": summary, "checks": checks,
+        "failures": failures})
 
 
 def run_fig2(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:

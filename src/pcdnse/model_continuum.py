@@ -7,11 +7,12 @@ For sites much wider than the lattice spacing the chain dynamics go over to
 discretized here by the method of lines with second-order central
 differences.  With unit grid spacing the discretization reproduces the
 lattice equations exactly, so lattice runs are the dx = 1 member of the
-same family.
+same family, and both are integrated by the same kernel.
 
-The dissipative term conserves the particle number integral(|Psi|^2 dx)
-identically while removing field energy, which makes those two functionals
-the standard run diagnostics.
+The dissipative term conserves the particle number dx sum(|Psi_n|^2)
+exactly while removing the bond energy at an exact rate, on periodic and
+open grids alike, which makes those two functionals the standard run
+diagnostics.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .collective import SolitonCoords
-from .model_effective import lattice_laplacian
+from .model_effective import _bond_energy, _make_flow, lattice_laplacian
 from .params import OPEN, PERIODIC, EffectiveParams
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "ContainmentWarning",
     "sech",
     "make_soliton_field",
-    "pcdnse_rhs",
     "particle_number",
     "field_momentum",
     "mean_velocity",
@@ -131,112 +131,72 @@ def make_soliton_field(
     return state
 
 
-def _resolve_boundary(field: FieldState, boundary: str | None) -> str:
-    return field.boundary if boundary is None else boundary
+def particle_number(field: FieldState) -> float:
+    """integral(|Psi|^2 dx) as the plain sum times dx, on both boundaries.
+
+    This is the quantity the flow conserves exactly: the ghost zeros of an
+    open grid carry no particles.
+    """
+    return float(np.sum(np.abs(field.psi) ** 2) * field.dx)
 
 
-def pcdnse_rhs(
-    field: FieldState, eff: EffectiveParams, boundary: str | None = None
-) -> np.ndarray:
-    """Time derivative of the field under the dissipative NLSE."""
-    bnd = _resolve_boundary(field, boundary)
-    psi = field.psi
-    lap = lattice_laplacian(psi, bnd) / field.dx**2
-    j = eff.hopping
-    diss = np.imag(np.conj(psi) * lap)
-    return -1j * (np.abs(psi) ** 2 * psi * eff.g - j * lap - j * eff.gamma * diss * psi)
-
-
-def particle_number(field: FieldState, boundary: str | None = None) -> float:
-    """integral(|Psi|^2 dx): rectangle rule (periodic) or trapezoid (open)."""
-    bnd = _resolve_boundary(field, boundary)
-    occ = np.abs(field.psi) ** 2
-    if bnd == PERIODIC:
-        return float(np.sum(occ) * field.dx)
-    return float((0.5 * (occ[0] + occ[-1]) + np.sum(occ[1:-1])) * field.dx)
-
-
-def _quadrature(values: np.ndarray, dx: float, boundary: str) -> float:
-    if boundary == PERIODIC:
-        return float(np.sum(values) * dx)
-    return float((0.5 * (values[0] + values[-1]) + np.sum(values[1:-1])) * dx)
-
-
-def _gradient(psi: np.ndarray, dx: float, boundary: str) -> np.ndarray:
-    if boundary == PERIODIC:
-        return (np.roll(psi, -1) - np.roll(psi, 1)) / (2.0 * dx)
+def _gradient(psi: np.ndarray, dx: float) -> np.ndarray:
+    """Central differences with the ghost zeros of an open grid."""
     out = np.empty_like(psi)
     out[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * dx)
-    # Ghost zeros beyond the wall, consistent with the clamped Laplacian.
     out[0] = psi[1] / (2.0 * dx)
     out[-1] = -psi[-2] / (2.0 * dx)
     return out
 
 
-def field_momentum(field: FieldState, boundary: str | None = None) -> float:
+def field_momentum(field: FieldState) -> float:
     """Field momentum integral(Im(Psi* Psi_x) dx).
 
     Periodic grids differentiate spectrally: sech-like fields are band
     limited to machine precision there, so the momentum of an ansatz field
     equals N*v essentially exactly.  Open grids use central differences.
     """
-    bnd = _resolve_boundary(field, boundary)
     psi = field.psi
-    if bnd == PERIODIC:
+    if field.boundary == PERIODIC:
         k = 2.0 * np.pi * np.fft.fftfreq(field.n_points, d=field.dx)
         grad = np.fft.ifft(1j * k * np.fft.fft(psi))
     else:
-        grad = _gradient(psi, field.dx, bnd)
-    return _quadrature(np.imag(np.conj(psi) * grad), field.dx, bnd)
+        grad = _gradient(psi, field.dx)
+    return float(np.sum(np.imag(np.conj(psi) * grad)) * field.dx)
 
 
-def mean_velocity(field: FieldState, boundary: str | None = None) -> float:
+def mean_velocity(field: FieldState) -> float:
     """Momentum per particle, P/N: the phase-slope v of an ansatz field."""
-    n = particle_number(field, boundary)
+    n = particle_number(field)
     if n == 0:
         raise ValueError("empty field has no mean velocity")
-    return field_momentum(field, boundary) / n
+    return field_momentum(field) / n
 
 
-def field_energy(
-    field: FieldState, eff: EffectiveParams, boundary: str | None = None
-) -> float:
-    """Field energy integral(J |Psi_x|^2 + (g/2) |Psi|^4) dx."""
-    bnd = _resolve_boundary(field, boundary)
-    grad = _gradient(field.psi, field.dx, bnd)
-    density = (eff.hopping * np.abs(grad) ** 2
-               + 0.5 * eff.g * np.abs(field.psi) ** 4)
-    return _quadrature(density, field.dx, bnd)
+def field_energy(field: FieldState, eff: EffectiveParams) -> float:
+    """Bond energy dx (J sum |Psi_{n+1}-Psi_n|^2 / dx^2 + (g/2) sum |Psi|^4).
+
+    The discrete counterpart of integral(J |Psi_x|^2 + (g/2) |Psi|^4) dx
+    that the flow conserves at gamma = 0 and dissipates at exactly the rate
+    :func:`field_energy_decay_rate`; at dx = 1 it is :func:`chain_energy`.
+    """
+    return _bond_energy(field.psi, eff, field.dx, field.boundary)
 
 
-def field_energy_decay_rate(
-    field: FieldState, eff: EffectiveParams, boundary: str | None = None
-) -> float:
+def field_energy_decay_rate(field: FieldState, eff: EffectiveParams) -> float:
     """Instantaneous dE/dt = -2 gamma J^2 integral(Im(Psi* Psi_xx)^2 dx).
 
     Exact slope of :func:`field_energy` along the flow (the chain rule
     contributes the 2, as in the lattice counterpart).
     """
-    bnd = _resolve_boundary(field, boundary)
-    lap = lattice_laplacian(field.psi, bnd) / field.dx**2
+    lap = lattice_laplacian(field.psi, field.boundary) / field.dx**2
     diss = np.imag(np.conj(field.psi) * lap)
     return (-2.0 * eff.gamma * eff.hopping**2
-            * _quadrature(diss**2, field.dx, bnd))
+            * float(np.sum(diss**2) * field.dx))
 
 
 def make_pcdnse_ode(
-    template: FieldState, eff: EffectiveParams, boundary: str | None = None
+    template: FieldState, eff: EffectiveParams
 ) -> Callable[[float, np.ndarray], np.ndarray]:
     """Integrator-ready closure; the template fixes grid and boundary."""
-    bnd = _resolve_boundary(template, boundary)
-    inv_dx2 = 1.0 / template.dx**2
-    j = eff.hopping
-    g = eff.g
-    jg = j * eff.gamma
-
-    def rhs(t: float, psi: np.ndarray) -> np.ndarray:
-        lap = lattice_laplacian(psi, bnd) * inv_dx2
-        diss = np.imag(np.conj(psi) * lap)
-        return -1j * (np.abs(psi) ** 2 * psi * g - j * lap - jg * diss * psi)
-
-    return rhs
+    return _make_flow(eff, 1.0 / template.dx**2, template.boundary)

@@ -1,23 +1,26 @@
 """Reduced site dynamics of the chain after cavity elimination.
 
-Two equivalent entry points are provided.  The general form propagates any
-lattice Hamiltonian through its Wirtinger gradient G_l = dH/db_l*:
+The general form propagates any lattice Hamiltonian through its Wirtinger
+gradient G_l = dH/db_l*:
 
     i db_l/dt = G_l + delta_g |b_l|^2 b_l + gamma Im(b_l* G_l) b_l
 
-while the specialized chain form hard-codes the hopping Laplacian
-D_n = b_{n-1} - 2 b_n + b_{n+1} and the net nonlinearity g:
+For the hopping chain, with the Laplacian D_n = b_{n-1} - 2 b_n + b_{n+1}
+and the net nonlinearity g, this becomes
 
     i db_n/dt = g |b_n|^2 b_n - J D_n - J gamma Im(b_n* D_n) b_n
 
-The two agree identically for the chain because the on-site quartic term
-contributes nothing to Im(b* G).  The dissipative term conserves the total
-occupation sum(|b_n|^2) exactly while draining the chain energy at the rate
-returned by :func:`energy_decay_rate`.
+because the on-site quartic term contributes nothing to Im(b* G).  The
+chain form is integrated by :func:`make_chain_ode`; it is the dx = 1 member
+of the continuum flow of :mod:`pcdnse.model_continuum`, and both come from
+one kernel.  :func:`general_effective_rhs` is kept as the independent
+oracle for it.  The dissipative term conserves the total occupation
+sum(|b_n|^2) exactly while draining the chain energy at the rate returned
+by :func:`energy_decay_rate`.
 
 Boundary conventions: ``periodic`` wraps the Laplacian and the bond energy;
-``open`` clamps ghost sites to zero (so edge sites see a hard wall) and sums
-bond energy over existing bonds only.
+``open`` clamps ghost sites to zero (so edge sites see a hard wall), and the
+bond energy includes the two bonds to those ghosts.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "lattice_laplacian",
     "chain_hamiltonian_gradient",
     "general_effective_rhs",
-    "chain_effective_rhs",
     "energy_decay_rate",
     "chain_energy",
     "make_chain_ode",
@@ -43,16 +45,24 @@ __all__ = [
 HamiltonianGradient = Callable[[np.ndarray], np.ndarray]
 
 
+def _neighbour_sum(b: np.ndarray, boundary: str) -> np.ndarray:
+    """b_{n-1} + b_{n+1}, with ghost zeros beyond the ends if open."""
+    if boundary == PERIODIC:
+        before_first, after_last = b[-1], b[0]
+    elif boundary == OPEN:
+        before_first = after_last = 0.0
+    else:
+        raise ValueError(f"unknown boundary {boundary!r}")
+    out = np.empty_like(b)
+    out[1:-1] = b[:-2] + b[2:]
+    out[0] = before_first + b[1]
+    out[-1] = b[-2] + after_last
+    return out
+
+
 def lattice_laplacian(b: np.ndarray, boundary: str = PERIODIC) -> np.ndarray:
     """Discrete Laplacian b_{n-1} - 2 b_n + b_{n+1} with ghost zeros if open."""
-    if boundary == PERIODIC:
-        return np.roll(b, 1) + np.roll(b, -1) - 2.0 * b
-    if boundary == OPEN:
-        out = -2.0 * b.astype(complex, copy=True)
-        out[1:] += b[:-1]
-        out[:-1] += b[1:]
-        return out
-    raise ValueError(f"unknown boundary {boundary!r}")
+    return _neighbour_sum(b, boundary) - 2.0 * b
 
 
 def chain_hamiltonian_gradient(
@@ -82,14 +92,20 @@ def general_effective_rhs(
     return -1j * (g_vec + eff.delta_g * np.abs(b) ** 2 * b + eff.gamma * diss * b)
 
 
-def chain_effective_rhs(
-    b: np.ndarray, eff: EffectiveParams, boundary: str = PERIODIC
-) -> np.ndarray:
-    """Time derivative of the chain state in the hopping-Laplacian frame."""
-    lap = lattice_laplacian(b, boundary)
+def _make_flow(
+    eff: EffectiveParams, inv_dx2: float, boundary: str
+) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The chain flow with the Laplacian scaled by 1/dx^2 (1 on the lattice)."""
     j = eff.hopping
-    diss = np.imag(np.conj(b) * lap)
-    return -1j * (np.abs(b) ** 2 * b * eff.g - j * lap - j * eff.gamma * diss * b)
+    g = eff.g
+    jg = j * eff.gamma
+
+    def rhs(t: float, psi: np.ndarray) -> np.ndarray:
+        lap = lattice_laplacian(psi, boundary) * inv_dx2
+        diss = np.imag(np.conj(psi) * lap)
+        return -1j * (np.abs(psi) ** 2 * psi * g - j * lap - jg * diss * psi)
+
+    return rhs
 
 
 def energy_decay_rate(
@@ -105,29 +121,37 @@ def energy_decay_rate(
     return -2.0 * eff.gamma * float(np.sum(diss**2))
 
 
+def _bond_energy(
+    b: np.ndarray, eff: EffectiveParams, dx: float, boundary: str
+) -> float:
+    """dx (J sum |b_{n+1}-b_n|^2 / dx^2 + (g/2) sum |b_n|^4) over every bond
+    the Laplacian couples: the wrap bond if periodic, the ghost bonds if open.
+    """
+    if boundary == PERIODIC:
+        ext = np.concatenate([b[-1:], b])
+    elif boundary == OPEN:
+        ext = np.concatenate([[0.0], b, [0.0]])
+    else:
+        raise ValueError(f"unknown boundary {boundary!r}")
+    bonds = np.abs(np.diff(ext)) ** 2
+    return float(dx * (eff.hopping * np.sum(bonds) / dx**2
+                       + 0.5 * eff.g * np.sum(np.abs(b) ** 4)))
+
+
 def chain_energy(
     b: np.ndarray, eff: EffectiveParams, boundary: str = PERIODIC
 ) -> float:
     """Chain energy sum(J |b_{n+1}-b_n|^2 + (g/2)|b_n|^4).
 
     Uses the net nonlinearity g of the reduced dynamics.  Periodic chains
-    include the wrap-around bond; open chains sum over existing bonds only.
+    include the wrap-around bond; open chains include the bonds to the zero
+    ghost sites, so this is the functional the flow conserves at gamma = 0.
     """
-    if boundary == PERIODIC:
-        bonds = np.abs(b - np.roll(b, 1)) ** 2
-    elif boundary == OPEN:
-        bonds = np.abs(np.diff(b)) ** 2
-    else:
-        raise ValueError(f"unknown boundary {boundary!r}")
-    return float(eff.hopping * np.sum(bonds)
-                 + 0.5 * eff.g * np.sum(np.abs(b) ** 4))
+    return _bond_energy(b, eff, 1.0, boundary)
 
 
 def make_chain_ode(
     eff: EffectiveParams, boundary: str = PERIODIC
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Integrator-ready closure over :func:`chain_effective_rhs`."""
-    def rhs(t: float, b: np.ndarray) -> np.ndarray:
-        return chain_effective_rhs(b, eff, boundary)
-
-    return rhs
+    """Integrator-ready closure over the chain flow."""
+    return _make_flow(eff, 1.0, boundary)

@@ -19,69 +19,23 @@ hopping band; it leaves all occupations |B_n|^2 untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .integrate import TimeSeries
-from .model_effective import lattice_laplacian
+from .model_effective import _neighbour_sum
 from .params import (
-    OPEN,
-    PERIODIC,
     ChainParams,
     DegenerateDenominatorError,
     ReservoirParams,
 )
 
 __all__ = [
-    "FullState",
-    "full_rhs",
     "steady_state_cavities",
-    "pack_full_state",
-    "unpack_full_state",
     "make_full_ode",
     "rotating_frame_to_effective",
 ]
-
-
-@dataclass
-class FullState:
-    """Cavity and site amplitudes, one pair per lattice site."""
-
-    cavity: np.ndarray
-    sites: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.cavity = np.asarray(self.cavity, dtype=complex)
-        self.sites = np.asarray(self.sites, dtype=complex)
-        if self.cavity.shape != self.sites.shape or self.cavity.ndim != 1:
-            raise ValueError("cavity and sites must be 1-d arrays of equal length")
-
-
-def _neighbor_sum(b: np.ndarray, boundary: str) -> np.ndarray:
-    if boundary == PERIODIC:
-        return np.roll(b, 1) + np.roll(b, -1)
-    if boundary == OPEN:
-        out = np.zeros_like(b)
-        out[1:] += b[:-1]
-        out[:-1] += b[1:]
-        return out
-    raise ValueError(f"unknown boundary {boundary!r}")
-
-
-def full_rhs(state: FullState, res: ReservoirParams,
-             chain: ChainParams) -> FullState:
-    """Time derivative of the coupled cavity-site amplitudes."""
-    a, b = state.cavity, state.sites
-    occ_b = np.abs(b) ** 2
-    occ_a = np.abs(a) ** 2
-    da = ((1j * res.delta - res.kappa / 2.0) * a + res.eta
-          - 1j * res.chi * occ_b * a)
-    db = (-1j * res.chi * occ_a * b
-          - 1j * chain.anharmonicity * occ_b * b
-          + 1j * chain.hopping * _neighbor_sum(b, chain.boundary))
-    return FullState(da, db)
 
 
 def steady_state_cavities(res: ReservoirParams, sites: int) -> np.ndarray:
@@ -93,21 +47,9 @@ def steady_state_cavities(res: ReservoirParams, sites: int) -> np.ndarray:
     return np.full(sites, res.eta / denom, dtype=complex)
 
 
-def pack_full_state(state: FullState) -> np.ndarray:
-    """Concatenate [cavities, sites] into one integrator vector."""
-    return np.concatenate([state.cavity, state.sites])
-
-
-def unpack_full_state(vec: np.ndarray) -> FullState:
-    if len(vec) % 2:
-        raise ValueError("packed full state must have even length")
-    half = len(vec) // 2
-    return FullState(vec[:half], vec[half:])
-
-
 def make_full_ode(res: ReservoirParams,
                   chain: ChainParams) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Integrator-ready closure over :func:`full_rhs` on packed vectors."""
+    """Integrator-ready closure over packed states [cavities A_n, sites B_n]."""
     half = chain.sites
     boundary = chain.boundary
     chi = res.chi
@@ -121,7 +63,7 @@ def make_full_ode(res: ReservoirParams,
         b = y[half:]
         da = pole * a + eta - 1j * chi * np.abs(b) ** 2 * a
         db = (-1j * chi * np.abs(a) ** 2 * b - 1j * alpha * np.abs(b) ** 2 * b
-              + 1j * j * _neighbor_sum(b, boundary))
+              + 1j * j * _neighbour_sum(b, boundary))
         return np.concatenate([da, db])
 
     return rhs

@@ -144,6 +144,21 @@ def test_run_simulation_lattice_conserves_occupation(tmp_path):
     assert manifest["diagnostics"]["particle_conserved"]
 
 
+def test_run_simulation_open_lattice_conserves_energy(tmp_path):
+    # gamma = 0: the bond energy, ghost bonds included, is a flow invariant
+    cfg = {
+        "model": "lattice",
+        "effective": {"g": -0.3, "gamma": 0.0},
+        "sites": 40,
+        "boundary": "open",
+        "initial": {"soliton": {"psi": 1.0, "x0": 20.0, "v": 0.3, "w": 1.5}},
+        "run": {"t_final": 20.0, "snapshots": 21},
+    }
+    diag = run_simulation(cfg, tmp_path)["diagnostics"]
+    assert diag["energy_conserved"]
+    assert diag["particle_conserved"]
+
+
 def test_run_simulation_langevin_reports_weak_coupling(tmp_path):
     cfg = {
         "model": "langevin",

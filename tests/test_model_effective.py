@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from conftest import random_complex
 from pcdnse.integrate import OdeProblem, SolverConfig, solve
 from pcdnse.model_effective import (
-    chain_effective_rhs,
     chain_energy,
     chain_hamiltonian_gradient,
     energy_decay_rate,
@@ -27,6 +26,20 @@ def test_laplacian_conventions():
                     [2 + 4 - 2, 1 + 4 - 4, 2 + 1 - 8])
     # open: missing neighbours enter as zeros (hard-wall ghosts)
     assert_allclose(lattice_laplacian(b, OPEN), [2 - 2, 1 + 4 - 4, 2 - 8])
+
+
+def test_laplacian_matches_the_roll_stencil(rng):
+    # reference: np.roll on rings, and ghost-zero accumulation on open
+    # chains, whose different summation order costs at most an ulp or two
+    for n in (2, 3, 16, 800, 4000):
+        b = random_complex(rng, n)
+        ring = np.roll(b, 1) + np.roll(b, -1) - 2.0 * b
+        assert np.array_equal(lattice_laplacian(b, PERIODIC), ring)
+        wall = -2.0 * b
+        wall[1:] += b[:-1]
+        wall[:-1] += b[1:]
+        err = np.max(np.abs(lattice_laplacian(b, OPEN) - wall))
+        assert err <= 1e-15 * np.max(np.abs(wall))
 
 
 def test_gradient_matches_laplacian_plus_onsite(rng):
@@ -47,7 +60,7 @@ def test_generic_rhs_equals_specialized_chain_rhs(rng, boundary):
     for _ in range(50):
         b = random_complex(rng, 16)
         assert_allclose(general_effective_rhs(b, grad, eff),
-                        chain_effective_rhs(b, eff, boundary),
+                        make_chain_ode(eff, boundary)(0.0, b),
                         rtol=0, atol=1e-14)
 
 
@@ -60,7 +73,7 @@ def test_plane_waves_are_rhs_eigenvectors():
         k = 2.0 * np.pi * m / 16
         b = 0.8 * np.exp(1j * k * n)
         omega = eff.g * 0.64 + 4.0 * eff.hopping * np.sin(k / 2.0) ** 2
-        assert_allclose(1j * chain_effective_rhs(b, eff, PERIODIC),
+        assert_allclose(1j * make_chain_ode(eff, PERIODIC)(0.0, b),
                         omega * b, rtol=0, atol=1e-10)
 
 
@@ -122,7 +135,8 @@ def test_chain_energy_small_cases():
     # bond energy J|b_{n+1}-b_n|^2 summed, plus (g/2) sum |b|^4
     expected = 2.0 * abs(1.0j - 1.0) ** 2 + 0.5 * (-2.0) * 2.0
     assert_allclose(chain_energy(b, eff, PERIODIC), expected, rtol=1e-15)
-    expected_open = abs(1.0j - 1.0) ** 2 + 0.5 * (-2.0) * 2.0
+    # open pair: bond (0,1) plus the bonds to the ghost zeros, |b_0|^2+|b_1|^2
+    expected_open = abs(1.0j - 1.0) ** 2 + 1.0 + 1.0 + 0.5 * (-2.0) * 2.0
     assert_allclose(chain_energy(b, eff, OPEN), expected_open, rtol=1e-15)
 
 
@@ -130,7 +144,7 @@ def test_uniform_ring_is_stationary_apart_from_phase():
     # zero laplacian: pure on-site phase rotation, no dissipation
     eff = EffectiveParams(g=-0.1, gamma=0.5, hopping=1.0)
     b = 0.7 * np.ones(8, dtype=complex)
-    rhs = chain_effective_rhs(b, eff, PERIODIC)
+    rhs = make_chain_ode(eff, PERIODIC)(0.0, b)
     assert_allclose(rhs, -1j * eff.g * 0.49 * b, rtol=0, atol=1e-16)
 
 

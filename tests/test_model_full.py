@@ -7,15 +7,13 @@ from numpy.testing import assert_allclose
 from conftest import random_complex
 from pcdnse.integrate import OdeProblem, SolveStats, SolverConfig, TimeSeries, solve
 from pcdnse.model_full import (
-    FullState,
-    full_rhs,
     make_full_ode,
-    pack_full_state,
     rotating_frame_to_effective,
     steady_state_cavities,
-    unpack_full_state,
 )
 from pcdnse.params import (
+    OPEN,
+    PERIODIC,
     ChainParams,
     DegenerateDenominatorError,
     ReservoirParams,
@@ -43,7 +41,7 @@ def test_uncoupled_cavity_relaxes_at_half_kappa(rng):
     chain = make_chain(4)
     a0 = random_complex(rng, 4, scale=0.5)
     b0 = random_complex(rng, 4, scale=0.3)
-    y0 = pack_full_state(FullState(a0, b0))
+    y0 = np.concatenate([a0, b0])
     times = np.linspace(0.0, 6.0, 7)
     series = solve(OdeProblem(make_full_ode(res, chain), 0.0, 6.0, y0),
                    SolverConfig(method="rkf78", rtol=1e-12, atol=1e-12,
@@ -52,7 +50,7 @@ def test_uncoupled_cavity_relaxes_at_half_kappa(rng):
     pole = 1j * res.delta - res.kappa / 2.0
     for t, y in zip(series.times, series.states):
         expected = a_ss + (a0 - a_ss) * np.exp(pole * t)
-        assert_allclose(unpack_full_state(y).cavity, expected, rtol=1e-9,
+        assert_allclose(y[:4], expected, rtol=1e-9,
                         atol=1e-12)
 
 
@@ -62,31 +60,34 @@ def test_site_occupation_is_conserved_despite_cavity_drive(rng):
     chain = make_chain(8)
     a0 = steady_state_cavities(RES, 8)
     b0 = random_complex(rng, 8, scale=0.4)
-    y0 = pack_full_state(FullState(a0, b0))
+    y0 = np.concatenate([a0, b0])
     series = solve(OdeProblem(make_full_ode(RES, chain), 0.0, 10.0, y0),
                    SolverConfig(method="rkf78", rtol=1e-11, atol=1e-12))
-    occ = np.array([np.sum(np.abs(unpack_full_state(y).sites) ** 2)
-                    for y in series.states])
+    occ = np.sum(np.abs(series.states[:, 8:]) ** 2, axis=1)
     assert np.max(np.abs(occ / occ[0] - 1.0)) < 1e-10
 
 
 def test_full_rhs_matches_packed_closure(rng):
-    chain = make_chain(6)
-    state = FullState(random_complex(rng, 6), random_complex(rng, 6))
-    derivative = full_rhs(state, RES, chain)
-    packed = make_full_ode(RES, chain)(0.0, pack_full_state(state))
-    assert_allclose(pack_full_state(derivative), packed, rtol=1e-15)
-
-
-def test_pack_round_trip_and_odd_length(rng):
-    state = FullState(random_complex(rng, 5), random_complex(rng, 5))
-    back = unpack_full_state(pack_full_state(state))
-    assert np.array_equal(back.cavity, state.cavity)
-    assert np.array_equal(back.sites, state.sites)
-    with pytest.raises(ValueError):
-        unpack_full_state(np.zeros(7, dtype=complex))
-    with pytest.raises(ValueError):
-        FullState(np.zeros(3, dtype=complex), np.zeros(4, dtype=complex))
+    # site by site from the equations of motion in the module docstring
+    a = random_complex(rng, 5)
+    b = random_complex(rng, 5)
+    for boundary in (PERIODIC, OPEN):
+        chain = ChainParams(hopping=0.7, anharmonicity=-0.1, sites=5,
+                            boundary=boundary)
+        packed = make_full_ode(RES, chain)(0.0, np.concatenate([a, b]))
+        for n in range(5):
+            if boundary == PERIODIC:
+                left, right = b[(n - 1) % 5], b[(n + 1) % 5]
+            else:
+                left = b[n - 1] if n > 0 else 0.0
+                right = b[n + 1] if n < 4 else 0.0
+            da = ((1j * RES.delta - RES.kappa / 2.0) * a[n] + RES.eta
+                  - 1j * RES.chi * abs(b[n]) ** 2 * a[n])
+            db = (-1j * RES.chi * abs(a[n]) ** 2 * b[n]
+                  - 1j * chain.anharmonicity * abs(b[n]) ** 2 * b[n]
+                  + 1j * chain.hopping * (left + right))
+            assert_allclose(packed[n], da, rtol=1e-15)
+            assert_allclose(packed[5 + n], db, rtol=1e-15)
 
 
 def test_rotating_frame_is_a_pure_phase(rng):
@@ -94,7 +95,7 @@ def test_rotating_frame_is_a_pure_phase(rng):
     b = random_complex(rng, 4)
     a = steady_state_cavities(RES, 4)
     times = np.array([0.0, 0.4, 1.7])
-    packed = np.tile(pack_full_state(FullState(a, b)), (3, 1))
+    packed = np.tile(np.concatenate([a, b]), (3, 1))
     series = TimeSeries(times, packed, SolveStats())
     out = rotating_frame_to_effective(series, RES, chain)
     assert out.states.shape == (3, 4)
@@ -135,7 +136,7 @@ def test_elimination_reproduces_site_dynamics_weak_coupling(rng):
     r1, r2 = weak_coupling_ratios(res, chain, float(np.max(np.abs(b0))))
     assert max(r1, r2) < 0.1
 
-    y0 = pack_full_state(FullState(steady_state_cavities(res, sites), b0))
+    y0 = np.concatenate([steady_state_cavities(res, sites), b0])
     times = np.linspace(0.0, 2.0, 5)
     full = solve(OdeProblem(make_full_ode(res, chain), 0.0, 2.0, y0),
                  SolverConfig(method="rkf78", rtol=1e-12, atol=1e-12,

@@ -35,6 +35,7 @@ from .collective import (
 )
 from .integrate import (
     IntegrationError,
+    LinearPart,
     MaxStepsExceededError,
     OdeProblem,
     SolveStats,
@@ -48,6 +49,7 @@ from .integrate import (
 from .model_continuum import (
     ContainmentWarning,
     FieldState,
+    dispersion_part,
     field_energy,
     field_energy_decay_rate,
     field_momentum,

@@ -11,6 +11,16 @@ Two embedded pairs are provided:
     tolerances make a high-order method pay off (the microscopic
     cavity-chain runs).  The eighth-order solution is propagated.
 
+Either pair also runs in integrating-factor (Lawson) form [3] when the
+problem names a linear part L = T^-1 diag(lam) T of its right-hand side
+f = L y + N(t, y).  The stages then advance u(s) = exp(-lam s) T y(t + s)
+over the step, whose slope exp(-lam s) T N no longer contains L, so a
+stiff L (the dispersion of a field on a fine grid) is stepped exactly and
+limits the step size no more.  The state, the recorded output and the
+error estimate stay in the original variables: the estimate is mapped back
+through T^-1 and measured with the same norm as without a linear part, so
+rtol and atol keep their meaning.
+
 Step-size selection uses a PI controller (safety factor 0.9, growth factor
 clamped to [0.2, 5]).  Requested snapshot times are hit exactly by clipping
 the step, never by interpolation, so recorded states are genuine solution
@@ -20,6 +30,7 @@ References
 ----------
 [1] Ch. Tsitouras, Comput. Math. Appl. 62, 770 (2011).
 [2] E. Fehlberg, NASA TR R-287 (1968), Table X.
+[3] J. D. Lawson, SIAM J. Numer. Anal. 4, 372 (1967).
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "LinearPart",
     "OdeProblem",
     "SolverConfig",
     "TimeSeries",
@@ -67,13 +79,31 @@ class MaxStepsExceededError(IntegrationError):
 
 
 @dataclass(frozen=True)
+class LinearPart:
+    """A linear part L y = T^-1 diag(eigenvalues) T y of a right-hand side.
+
+    ``forward`` applies the unitary transform T to a state-shaped array and
+    ``inverse`` applies T^-1; ``eigenvalues`` has the state's shape.
+    """
+
+    eigenvalues: np.ndarray
+    forward: Callable[[np.ndarray], np.ndarray]
+    inverse: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
 class OdeProblem:
-    """An initial value problem dy/dt = rhs(t, y) on [t0, t1]."""
+    """An initial value problem dy/dt = rhs(t, y) on [t0, t1].
+
+    ``linear``, when given, names a part L y of ``rhs`` that is diagonal in
+    a known basis; ``rhs`` stays the whole right-hand side L y + N(t, y).
+    """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
     t0: float
     t1: float
     initial_state: np.ndarray
+    linear: LinearPart | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
@@ -281,13 +311,115 @@ def _initial_step(rhs, t0, y0, f0, t1, order, atol, rtol, stats) -> float:
     return min(100 * h0, h1, t1 - t0)
 
 
+class _Stages:
+    """The stages of ``tab`` on y itself.
+
+    k[j] is stage j's slope; k[0] carries rhs(t, y) between steps.
+    """
+
+    def __init__(self, tab: _Tableau, rhs, stats: SolveStats,
+                 y: np.ndarray, f0: np.ndarray) -> None:
+        self.tab, self.rhs, self.stats = tab, rhs, stats
+        self.k = np.empty((len(tab.c), y.size), dtype=y.dtype)
+        self.k[0] = f0
+        self.k0_valid = True             # k[0] holds rhs(t, y) for this (t, y)
+
+    def trial(self, t: float, y: np.ndarray, h: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """The propagated state after a step h from (t, y), and its error."""
+        tab, k, rhs = self.tab, self.k, self.rhs
+        n_stages = len(tab.c)
+        if not self.k0_valid:
+            k[0] = rhs(t, y)
+            self.stats.n_rhs += 1
+            self.k0_valid = True
+        for i in range(1, n_stages):
+            yi = y + h * (tab.a[i, :i] @ k[:i])
+            k[i] = rhs(t + tab.c[i] * h, yi)
+        self.stats.n_rhs += n_stages - 1
+        return y + h * (tab.b @ k), h * (tab.e @ k)
+
+    def accept(self) -> None:
+        if self.tab.fsal:
+            self.k[0] = self.k[-1]        # first-same-as-last stage reuse
+        else:
+            self.k0_valid = False
+
+
+class _LawsonStages:
+    """The stages of ``tab`` in integrating-factor (Lawson) form.
+
+    In the basis yhat = T y the linear part is the factor E(s) = exp(lam s).
+    The stages advance u(s) = E(-s) yhat(t + s), whose slope E(-s) Nhat
+    holds only the rest Nhat = T f - lam yhat of the right-hand side, so
+    the linear part is stepped exactly.  k[j] is stage j's pulled-back
+    slope E(-c_j h) Nhat_j; k[0] carries Nhat(t, y) between steps.
+    """
+
+    def __init__(self, tab: _Tableau, rhs, linear: LinearPart,
+                 stats: SolveStats, y: np.ndarray, f0: np.ndarray) -> None:
+        self.tab, self.rhs, self.stats = tab, rhs, stats
+        self.lam, self.forward, self.inverse = (
+            linear.eigenvalues, linear.forward, linear.inverse)
+        self.yhat = self.forward(y)
+        self.k = np.empty((len(tab.c), y.size), dtype=complex)
+        self.k[0] = self.forward(f0) - self.lam * self.yhat
+        self.k0_valid = True
+        # E(c h) is needed at every stage node c and at c = 1 for the step.
+        # An exponential costs more than a transform of the same length, so
+        # it is taken once per distinct eigenvalue (a parity-symmetric
+        # operator has lam_k = lam_{n-k} in the Fourier basis).
+        self.nodes = sorted(set(tab.c[1:].tolist()) | {1.0})
+        self.distinct, self.index = np.unique(self.lam, return_inverse=True)
+        self.pending: tuple[np.ndarray, np.ndarray | None] | None = None
+
+    def trial(self, t: float, y: np.ndarray, h: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """The propagated state after a step h from (t, y), and its error,
+        both in the original variables."""
+        tab, k, rhs, lam = self.tab, self.k, self.rhs, self.lam
+        forward, inverse = self.forward, self.inverse
+        n_stages = len(tab.c)
+        if not self.k0_valid:
+            k[0] = forward(rhs(t, y)) - lam * self.yhat
+            self.stats.n_rhs += 1
+            self.k0_valid = True
+        growth = {c: np.exp(self.distinct * (c * h))[self.index]
+                  for c in self.nodes}
+        for i in range(1, n_stages):
+            e = growth[tab.c[i]]
+            yhat_i = e * (self.yhat + h * (tab.a[i, :i] @ k[:i]))
+            y_i = inverse(yhat_i)
+            nhat_i = forward(rhs(t + tab.c[i] * h, y_i)) - lam * yhat_i
+            k[i] = nhat_i / e
+        self.stats.n_rhs += n_stages - 1
+        e = growth[1.0]
+        if tab.fsal:
+            # c = 1 and a[-1] = b: the last stage is the propagated solution.
+            self.pending = (yhat_i, nhat_i)
+        else:
+            yhat_i = e * (self.yhat + h * (tab.b @ k))
+            y_i = inverse(yhat_i)
+            self.pending = (yhat_i, None)
+        return y_i, inverse(e * (h * (tab.e @ k)))
+
+    def accept(self) -> None:
+        self.yhat, nhat = self.pending
+        if nhat is None:
+            self.k0_valid = False
+        else:
+            self.k[0] = nhat
+
+
 def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
     """Integrate ``problem`` and return the recorded trajectory.
 
     With ``snapshot_times`` set, exactly those instants are recorded (they
     must lie in [t0, t1] and be strictly increasing); integration stops at
     the last one.  Without them every accepted step is recorded, starting
-    at t0.  Identical inputs produce bit-identical output.
+    at t0.  With ``problem.linear`` set, the steps are taken in Lawson
+    form (see the module docstring).  Identical inputs produce
+    bit-identical output.
 
     Raises
     ------
@@ -304,6 +436,9 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
     y = np.array(problem.initial_state, copy=True)
     if y.ndim != 1:
         raise ValueError("initial_state must be one-dimensional")
+    if (problem.linear is not None
+            and np.shape(problem.linear.eigenvalues) != y.shape):
+        raise ValueError("linear.eigenvalues must have the state's shape")
     if not np.issubdtype(y.dtype, np.inexact):
         y = y.astype(float)
 
@@ -338,11 +473,12 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
         if out_idx >= len(snapshots):
             return TimeSeries(np.array(rec_times), np.array(rec_states), stats)
 
-    n_stages = len(tab.c)
-    k = np.empty((n_stages, y.size), dtype=y.dtype)
     f0 = rhs(t0, y)
     stats.n_rhs += 1
-    k[0] = f0
+    if problem.linear is None:
+        stages = _Stages(tab, rhs, stats, y, f0)
+    else:
+        stages = _LawsonStages(tab, rhs, problem.linear, stats, y, f0)
 
     order = tab.error_order + 1          # order of the propagated solution
     exponent = 1.0 / (tab.error_order + 1)
@@ -354,7 +490,6 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
     dt = _initial_step(rhs, t0, y, f0, t_end, tab.error_order, config.atol,
                        config.rtol, stats)
     err_prev = 1.0
-    k0_valid = True                      # k[0] holds rhs(t, y) for current (t, y)
 
     while t < t_end:
         if stats.n_accepted + stats.n_rejected >= config.max_steps:
@@ -374,17 +509,7 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
             h = target - t
             clipped = True
 
-        if not k0_valid:
-            k[0] = rhs(t, y)
-            stats.n_rhs += 1
-            k0_valid = True
-        for i in range(1, n_stages):
-            yi = y + h * (tab.a[i, :i] @ k[:i])
-            k[i] = rhs(t + tab.c[i] * h, yi)
-        stats.n_rhs += n_stages - 1
-
-        y_new = y + h * (tab.b @ k)
-        err_vec = h * (tab.e @ k)
+        y_new, err_vec = stages.trial(t, y, h)
         err = _error_norm(err_vec, y, y_new, config.atol, config.rtol)
 
         if err <= 1.0:
@@ -397,10 +522,7 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
                     fac_min, safety * err**(-beta1) * err_prev**beta2))
             err_prev = max(err, 1e-4)
             t, y = t_new, y_new
-            if tab.fsal:
-                k[0] = k[-1]        # first-same-as-last stage reuse
-            else:
-                k0_valid = False
+            stages.accept()
             if snapshots is None:
                 record(t, y)
             elif clipped:
@@ -410,7 +532,7 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
                     break
             dt = h * factor
         else:
-            # Rejection leaves (t, y) untouched, so k[0] remains valid.
+            # Rejection leaves (t, y) untouched: the first slope stays valid.
             stats.n_rejected += 1
             dt = h * min(1.0, max(fac_min, safety * err**(-exponent)))
 

@@ -23,6 +23,7 @@ from pcdnse.collective import (
 from pcdnse.experiments import ExperimentConfig, run_experiment
 from pcdnse.integrate import OdeProblem, SolverConfig, solve, solver_preset
 from pcdnse.model_continuum import (
+    dispersion_part,
     field_energy,
     field_energy_decay_rate,
     make_pcdnse_ode,
@@ -45,13 +46,15 @@ EFF = EffectiveParams(g=-0.1, gamma=0.05, hopping=1.0)
 
 @pytest.fixture(scope="module")
 def reference_field_run():
-    """Moving soliton on the benchmark grid: L = 400, dx = 0.1, Jt = 50."""
+    """Moving soliton on the benchmark grid: L = 400, dx = 0.1, Jt = 50,
+    with the dispersion stepped exactly as in the experiments' field runs."""
     coords = SolitonCoords(psi=1.0, x0=100.0, v=0.48, w=math.sqrt(20.0),
                            d=0.0, phi=0.0)
     field0 = make_soliton_field(coords, 400.0, 4000, PERIODIC)
     times = np.linspace(0.0, 50.0, 201)
     series = solve(
-        OdeProblem(make_pcdnse_ode(field0, EFF), 0.0, 50.0, field0.psi),
+        OdeProblem(make_pcdnse_ode(field0, EFF), 0.0, 50.0, field0.psi,
+                   linear=dispersion_part(field0, EFF)),
         solver_preset("pcdnse", snapshot_times=times))
     fields = [field0.with_psi(s) for s in series.states]
     return series.times, fields

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pcdnse import experiments
 from pcdnse.collective import SolitonCoords, stable_soliton
 from pcdnse.experiments import (
     EXPERIMENTS,
@@ -157,6 +158,25 @@ def test_run_simulation_open_lattice_conserves_energy(tmp_path):
     diag = run_simulation(cfg, tmp_path)["diagnostics"]
     assert diag["energy_conserved"]
     assert diag["particle_conserved"]
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_only_periodic_field_runs_step_the_dispersion_exactly(
+        tmp_path, monkeypatch, boundary):
+    # open grids stay on plain steps: their Laplacian needs a DST-I
+    real_solve = experiments.solve
+    problems = []
+
+    def spy(problem, config):
+        problems.append(problem)
+        return real_solve(problem, config)
+
+    monkeypatch.setattr(experiments, "solve", spy)
+    cfg = pcdnse_config(run={"t_final": 0.2, "snapshots": 2})
+    cfg["grid"]["boundary"] = boundary
+    run_simulation(cfg, tmp_path)
+    assert len(problems) == 1
+    assert (problems[0].linear is None) == (boundary == "open")
 
 
 def test_run_simulation_langevin_reports_weak_coupling(tmp_path):

@@ -1,16 +1,19 @@
 """Adaptive Runge-Kutta driver: accuracy, snapshots, determinism, failure
-modes.  Analytic solutions (exponential decay, phase rotation) serve as
-oracles throughout.
+modes.  Analytic solutions (exponential decay, phase rotation, pure
+dispersion in Fourier space) serve as oracles throughout.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pcdnse.collective import SolitonCoords
 from pcdnse.integrate import (
     SOLVER_PRESETS,
+    LinearPart,
     MaxStepsExceededError,
     OdeProblem,
     SolverConfig,
@@ -19,6 +22,12 @@ from pcdnse.integrate import (
     solve_fixed_grid,
     solver_preset,
 )
+from pcdnse.model_continuum import (
+    dispersion_part,
+    make_pcdnse_ode,
+    make_soliton_field,
+)
+from pcdnse.params import EffectiveParams
 
 
 def decay(t, y):
@@ -136,6 +145,10 @@ def test_problem_and_config_validation():
     with pytest.raises(ValueError):
         solve(OdeProblem(decay, 0.0, 1.0, np.zeros((2, 2))),
               SolverConfig())                               # not 1-d
+    two_modes = LinearPart(np.zeros(2), np.fft.fft, np.fft.ifft)
+    with pytest.raises(ValueError):
+        solve(OdeProblem(rotation, 0.0, 1.0, np.ones(3, dtype=complex),
+                         linear=two_modes), SolverConfig())  # 3 components
     with pytest.raises(ValueError):
         SolverConfig(method="euler")
     with pytest.raises(ValueError):
@@ -173,3 +186,84 @@ def test_time_series_validates_ordering():
     from pcdnse.integrate import SolveStats, TimeSeries
     with pytest.raises(ValueError):
         TimeSeries(np.array([0.0, 0.0]), np.zeros((2, 1)), SolveStats())
+
+
+# ---------------------------------------------------------------------------
+# integrating-factor (Lawson) stepping
+
+
+def small_field(g, gamma, length, n_points, v=0.5, w=2.0):
+    """A moving soliton in the middle of a periodic box, and its parameters."""
+    eff = EffectiveParams(g=g, gamma=gamma, hopping=1.0)
+    coords = SolitonCoords(psi=1.0, x0=length / 2.0, v=v, w=w, d=0.0,
+                           phi=0.0)
+    field = make_soliton_field(coords, length, n_points,
+                               containment_tol=1e-3)
+    return field, eff
+
+
+@pytest.mark.parametrize("method", ["tsit5", "rkf78"])
+def test_lawson_steps_pure_dispersion_exactly(method):
+    # g = gamma = 0: the flow is its linear part, so the exact solution is
+    # T^-1 exp(lam t) T psi0 and only round-off is left for error control
+    field, eff = small_field(0.0, 0.0, 64.0, 640)        # dx = 0.1
+    linear = dispersion_part(field, eff)
+    t1 = 2.0
+    exact = linear.inverse(np.exp(linear.eigenvalues * t1)
+                           * linear.forward(field.psi))
+    problem = OdeProblem(make_pcdnse_ode(field, eff), 0.0, t1, field.psi,
+                         linear=linear)
+    lawson = solve(problem, SolverConfig(method=method))
+    assert_allclose(lawson.states[-1], exact,
+                    rtol=0, atol=1e-12 * np.max(np.abs(exact)))
+    assert lawson.stats.n_accepted <= 6
+    # the plain stepper is held to the stability limit of the dispersion
+    plain = solve(replace(problem, linear=None), SolverConfig(method=method))
+    assert plain.stats.n_accepted > 40 * lawson.stats.n_accepted
+
+
+@pytest.mark.parametrize("method", ["tsit5", "rkf78"])
+def test_lawson_calls_rhs_once_per_counted_evaluation(method):
+    field, eff = small_field(-0.1, 0.05, 32.0, 64)
+    flow = make_pcdnse_ode(field, eff)
+    calls = []
+
+    def kicked(t, y):
+        # a sharp phase kick at t = 1 forces rejected trial steps
+        calls.append(t)
+        return flow(t, y) + 20j * math.exp(-2000.0 * (t - 1.0) ** 2) * y
+
+    times = np.linspace(0.0, 2.0, 9)                    # clipped steps
+    series = solve(OdeProblem(kicked, 0.0, 2.0, field.psi,
+                              linear=dispersion_part(field, eff)),
+                   SolverConfig(method=method, rtol=1e-10, atol=1e-12,
+                                snapshot_times=times))
+    assert np.array_equal(series.times, times)
+    assert series.stats.n_rejected >= 1
+    assert len(calls) == series.stats.n_rhs
+
+
+def test_lawson_output_is_bit_identical_run_to_run():
+    field, eff = small_field(-0.1, 0.05, 32.0, 64)
+    problem = OdeProblem(make_pcdnse_ode(field, eff), 0.0, 2.0, field.psi,
+                         linear=dispersion_part(field, eff))
+    config = SolverConfig(snapshot_times=np.linspace(0.0, 2.0, 5))
+    a, b = solve(problem, config), solve(problem, config)
+    assert np.array_equal(a.states, b.states)
+    assert a.stats == b.stats
+
+
+def test_lawson_agrees_with_a_tight_plain_solve():
+    # L = 96, dx = 0.2, a moving dissipative soliton over Jt = 5.  Measured
+    # at the default tolerances: 1.25e-7 of the largest amplitude.
+    field, eff = small_field(-0.1, 0.05, 96.0, 480, v=0.48,
+                             w=math.sqrt(20.0))
+    times = np.linspace(0.0, 5.0, 11)
+    problem = OdeProblem(make_pcdnse_ode(field, eff), 0.0, 5.0, field.psi,
+                         linear=dispersion_part(field, eff))
+    lawson = solve(problem, SolverConfig(snapshot_times=times))
+    tight = solve(replace(problem, linear=None),
+                  SolverConfig(rtol=1e-12, atol=1e-12, snapshot_times=times))
+    deviation = (np.max(np.abs(lawson.states - tight.states))
+                 / np.max(np.abs(tight.states)))
+    assert deviation < 5e-7

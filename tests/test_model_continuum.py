@@ -15,6 +15,7 @@ from pcdnse.integrate import OdeProblem, SolverConfig, solve
 from pcdnse.model_continuum import (
     ContainmentWarning,
     FieldState,
+    dispersion_part,
     field_energy,
     field_energy_decay_rate,
     field_momentum,
@@ -221,3 +222,17 @@ def test_rhs_open_boundary_clamps_edges(rng):
     # the dissipative projection is pointwise and both boundaries share the
     # interior stencil, so interior rows agree exactly
     assert np.array_equal(rhs_open[1:-1], rhs_per[1:-1])
+
+
+@pytest.mark.parametrize("dx", [0.1, 1.0])
+def test_dispersion_part_is_the_linear_flow(rng, dx):
+    # at g = gamma = 0 the flow is the dispersion alone; the FFT route
+    # differs from the stencil only by round-off of the largest eigenvalue
+    field = random_field(rng, PERIODIC, dx)
+    eff = EffectiveParams(g=0.0, gamma=0.0, hopping=0.7)
+    linear = dispersion_part(field, eff)
+    stencil = make_pcdnse_ode(field, eff)(0.0, field.psi)
+    spectral = linear.inverse(linear.eigenvalues * linear.forward(field.psi))
+    assert_allclose(spectral, stencil, rtol=0,
+                    atol=1e-13 * np.max(np.abs(stencil)))
+    assert np.all(linear.eigenvalues.real == 0.0)

@@ -1,7 +1,8 @@
 """Estimators that reduce simulated fields to soliton observables.
 
 The central tool is a nonlinear least-squares fit of the six-parameter
-soliton ansatz to a complex field snapshot.  On top of it sit the velocity
+soliton ansatz to a complex field snapshot (Levenberg-Marquardt, given the
+analytic Jacobian of the ansatz).  On top of it sit the velocity
 damping estimator (finite-difference slope of the momentum velocity over a
 fixed horizon, gated by endpoint fits) and the windowed envelope-deviation
 series used to monitor shape relaxation in long runs.  A direct profile
@@ -108,6 +109,29 @@ def _model_field(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return amp * sech(u / wa) * np.exp(1j * (u * v + u * u * d + phi))
 
 
+def _model_jacobian(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Derivatives of ``_model_field`` by (A, x0, v, w, d, phi), (n, 6).
+
+    With m = A sech(s) e^{i Phi}, s = (x - x0)/|w| and
+    Phi = u v + u^2 d + phi (u = x - x0).
+    """
+    amp, x0, v, w, d, phi = theta
+    u = x - x0
+    wa = abs(w)
+    s = u / wa
+    carrier = sech(s) * np.exp(1j * (u * v + u * u * d + phi))
+    m = amp * carrier
+    tanh = np.tanh(s)
+    jac = np.empty((len(x), 6), dtype=complex)
+    jac[:, 0] = carrier
+    jac[:, 1] = m * (tanh / wa - 1j * (v + 2.0 * d * u))
+    jac[:, 2] = 1j * u * m
+    jac[:, 3] = m * tanh * s * (np.sign(w) / wa)
+    jac[:, 4] = 1j * u * u * m
+    jac[:, 5] = 1j * m
+    return jac
+
+
 def _initial_guess(x: np.ndarray, psi: np.ndarray, dx: float) -> np.ndarray:
     occ = np.abs(psi) ** 2
     j_peak = int(np.argmax(occ))
@@ -185,7 +209,11 @@ def fit_soliton(
         r = _model_field(x, theta) - psi
         return np.concatenate([r.real, r.imag])
 
-    result = least_squares(residuals, theta0, method="lm",
+    def jacobian(theta: np.ndarray) -> np.ndarray:
+        j = _model_jacobian(x, theta)
+        return np.concatenate([j.real, j.imag])
+
+    result = least_squares(residuals, theta0, jac=jacobian, method="lm",
                            ftol=1e-12, xtol=1e-12, gtol=1e-12)
 
     amp, x0, v, w, d, phi = result.x

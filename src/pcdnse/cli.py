@@ -6,8 +6,8 @@ of a stored snapshot), and ``experiment`` (canned multi-run datasets).
 
 Output directory precedence: ``--out`` flag, then the ``PCDNSE_OUTPUT_DIR``
 environment variable, then the config file's ``output.directory``, then
-``./out/<name>``.  Exit codes: 0 on success, 2 on configuration errors,
-3 on numerical failures.
+``./out/<name>``.  Exit codes: 0 on success, 2 on configuration errors
+(a missing or malformed snapshot file among them), 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .experiments import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    read_snapshot,
     run_experiment,
     run_params_sweep,
     run_simulation,
@@ -116,11 +117,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    path = Path(args.input)
-    if not path.exists():
-        raise ConfigError(f"no such snapshot file: {path}")
-    field = (io.read_field_json(path) if path.suffix == ".json"
-             else io.read_field_csv(path))
+    field = read_snapshot(args.input, "--input")
     result = fit_soliton(field, residual_threshold=args.residual_threshold)
     payload = {
         "psi": result.coords.psi, "x0": result.coords.x0,

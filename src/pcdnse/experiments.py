@@ -78,6 +78,7 @@ __all__ = [
     "run_simulation",
     "run_params_sweep",
     "run_experiment",
+    "read_snapshot",
     "EXPERIMENTS",
 ]
 
@@ -446,6 +447,22 @@ def _diagnostics_and_flags(times, n_series, e_series, peak_series, gamma,
     return diag
 
 
+def read_snapshot(path: str | Path, where: str) -> FieldState:
+    """A field snapshot from a ``.json`` file, or else from CSV.
+
+    A missing, unreadable or malformed file raises ``ConfigError``; the
+    message starts with ``where`` and names the path.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{where}: no such file {path}")
+    try:
+        return (io.read_field_json(path) if path.suffix == ".json"
+                else io.read_field_csv(path))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: cannot read {path}: {exc}") from exc
+
+
 def _initial_field(cfg, eff) -> FieldState:
     """Initial field on the configured grid; a lattice is the dx = 1 grid."""
     if cfg["model"] == "pcdnse":
@@ -458,12 +475,8 @@ def _initial_field(cfg, eff) -> FieldState:
                               else n_points - 1)
     init = cfg["initial"]
     if "field_file" in init:
-        path = Path(init["field_file"])
-        if not path.exists():
-            raise ConfigError(
-                f"config[initial.field_file]: no such file {path}")
-        field = (io.read_field_json(path) if path.suffix == ".json"
-                 else io.read_field_csv(path))
+        field = read_snapshot(init["field_file"],
+                              "config[initial.field_file]")
         if field.n_points != n_points:
             raise ConfigError(
                 "config[initial.field_file]: grid size "

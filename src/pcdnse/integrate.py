@@ -480,7 +480,6 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
     else:
         stages = _LawsonStages(tab, rhs, problem.linear, stats, y, f0)
 
-    order = tab.error_order + 1          # order of the propagated solution
     exponent = 1.0 / (tab.error_order + 1)
     beta1 = 0.7 * exponent               # PI controller memory weights
     beta2 = 0.4 * exponent

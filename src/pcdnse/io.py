@@ -3,14 +3,24 @@
 All numeric text output is written with 17 significant digits via the
 locale-independent ``%.17g`` format, which round-trips IEEE doubles
 exactly.  Identical runs therefore produce byte-identical files.
+
+Values are rendered and parsed in bulk rather than one call per float.  A
+CSV body is a single ``%`` operation over ``tolist()`` values, and a grid's
+x column, which depends only on the grid, is rendered once per grid.  A
+snapshot's float lists in JSON are joined ``float.__repr__`` strings.  The
+bytes are exactly those of ``%.17g`` per value and of
+``json.dumps(payload, indent=2, sort_keys=True)``.  The CSV reader parses
+all data rows in one ``np.loadtxt`` call.  Both readers raise ``ValueError``
+for a malformed file.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,27 +47,73 @@ def format_float(value: float) -> str:
     return FLOAT_FORMAT % float(value)
 
 
+def _csv_rows(columns: Sequence[np.ndarray | tuple[str, ...]]) -> str:
+    """One CSV row per index of the equally long columns.
+
+    An array column is rendered with ``FLOAT_FORMAT``; a tuple column holds
+    cells that are rendered already.
+    """
+    width = len(columns)
+    length = len(columns[0])
+    cells: list = [None] * (width * length)
+    specs = []
+    for j, column in enumerate(columns):
+        if isinstance(column, tuple):
+            specs.append("%s")
+            cells[j::width] = column
+        else:
+            specs.append(FLOAT_FORMAT)
+            cells[j::width] = column.tolist()
+    return ((",".join(specs) + "\n") * length) % tuple(cells)
+
+
+def _json_floats(values: np.ndarray) -> str:
+    """A float array as ``json.dumps(..., indent=2)`` renders it one level
+    deep: one ``float.__repr__`` per line, or ``NaN``/``Infinity``."""
+    if not len(values):
+        return "[]"
+    render = float.__repr__ if np.isfinite(values).all() else json.dumps
+    return "[\n    " + ",\n    ".join(map(render, values.tolist())) + "\n  ]"
+
+
+@functools.lru_cache(maxsize=4)
+def _x_column(domain_length: float, n_points: int,
+              boundary: str) -> tuple[tuple[str, ...], str]:
+    """A grid's x column rendered as CSV cells and as a JSON list.
+
+    x depends on nothing but the grid, so each grid is rendered once.
+    """
+    x = FieldState(np.zeros(n_points), domain_length, boundary).x
+    return tuple(map(format_float, x.tolist())), _json_floats(x)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im with every bit kept (``re + 1j * im`` turns -0.0 into 0.0)."""
+    psi = np.empty(re.shape, dtype=complex)
+    psi.real = re
+    psi.imag = im
+    return psi
+
+
 def write_field_csv(path: str | Path, field: FieldState,
                     meta: Mapping[str, str] | None = None) -> Path:
     """Write a field snapshot as CSV with grid metadata in header comments."""
     path = Path(path)
-    x = field.x
+    x, _ = _x_column(field.domain_length, field.n_points, field.boundary)
     with path.open("w", newline="\n") as fh:
         fh.write(f"# domain_length={format_float(field.domain_length)}\n")
         fh.write(f"# boundary={field.boundary}\n")
         for key, value in (meta or {}).items():
             fh.write(f"# {key}={value}\n")
         fh.write("x,re_psi,im_psi\n")
-        for xi, pi in zip(x, field.psi):
-            fh.write(f"{format_float(xi)},{format_float(pi.real)},"
-                     f"{format_float(pi.imag)}\n")
+        fh.write(_csv_rows([x, field.psi.real, field.psi.imag]))
     return path
 
 
 def read_field_csv(path: str | Path) -> FieldState:
     path = Path(path)
     meta: dict[str, str] = {}
-    rows: list[tuple[float, float, float]] = []
+    rows: list[str] = []
     with path.open() as fh:
         for line in fh:
             line = line.strip()
@@ -69,37 +125,61 @@ def read_field_csv(path: str | Path) -> FieldState:
             elif line[0].isalpha() or line.startswith('"'):
                 continue  # header row
             else:
-                a, b, c = line.split(",")
-                rows.append((float(a), float(b), float(c)))
+                rows.append(line)
     if "domain_length" not in meta:
-        raise ValueError(f"{path}: missing '# domain_length=...' metadata")
-    psi = np.array([r[1] + 1j * r[2] for r in rows])
-    return FieldState(psi, float(meta["domain_length"]),
+        raise ValueError("missing '# domain_length=...' metadata")
+    data = (np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+            if rows else np.empty((0, 3)))
+    if data.shape[1] != 3:
+        raise ValueError(f"data rows have {data.shape[1]} fields, "
+                         "expected 3 (x, re_psi, im_psi)")
+    return FieldState(_complex(data[:, 1], data[:, 2]),
+                      float(meta["domain_length"]),
                       meta.get("boundary", PERIODIC))
 
 
 def write_field_json(path: str | Path, field: FieldState,
                      meta: Mapping[str, str] | None = None) -> Path:
+    """Write a field snapshot as JSON, byte for byte what ``write_json``
+    gives for the payload with the float arrays as lists."""
     path = Path(path)
-    payload = {
-        "domain_length": field.domain_length,
-        "boundary": field.boundary,
-        "x": field.x.tolist(),
-        "re_psi": field.psi.real.tolist(),
-        "im_psi": field.psi.imag.tolist(),
+    _, x = _x_column(field.domain_length, field.n_points, field.boundary)
+    members = {
+        "domain_length": json.dumps(field.domain_length),
+        "boundary": json.dumps(field.boundary),
+        "x": x,
+        "re_psi": _json_floats(field.psi.real),
+        "im_psi": _json_floats(field.psi.imag),
     }
     if meta:
-        payload["meta"] = dict(meta)
-    write_json(path, payload)
+        # json.dumps emits a newline only between tokens (never inside a
+        # string), so indenting every line nests the object one level
+        members["meta"] = json.dumps(
+            dict(meta), indent=2, sort_keys=True,
+            default=_jsonable).replace("\n", "\n  ")
+    body = ",\n".join(f"  {json.dumps(key)}: {members[key]}"
+                      for key in sorted(members))
+    path.write_text("{\n" + body + "\n}\n")
     return path
 
 
 def read_field_json(path: str | Path) -> FieldState:
     with Path(path).open() as fh:
         payload = json.load(fh)
-    psi = np.asarray(payload["re_psi"]) + 1j * np.asarray(payload["im_psi"])
-    return FieldState(psi, payload["domain_length"],
-                      payload.get("boundary", PERIODIC))
+    try:
+        re = np.asarray(payload["re_psi"])
+        im = np.asarray(payload["im_psi"])
+        domain_length = float(payload["domain_length"])
+        boundary = payload.get("boundary", PERIODIC)
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"not a field snapshot: {exc}") from exc
+    if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
+        raise ValueError("re_psi and im_psi must hold numbers only")
+    if re.shape != im.shape:
+        raise ValueError("re_psi and im_psi differ in shape")
+    return FieldState(_complex(re, im), domain_length, boundary)
 
 
 def write_table_csv(path: str | Path, columns: Mapping[str, np.ndarray]) -> Path:
@@ -112,8 +192,7 @@ def write_table_csv(path: str | Path, columns: Mapping[str, np.ndarray]) -> Path
         raise ValueError("all columns must have equal length")
     with path.open("w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(length):
-            fh.write(",".join(format_float(a[i]) for a in arrays) + "\n")
+        fh.write(_csv_rows(arrays))
     return path
 
 

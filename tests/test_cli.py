@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from pcdnse.cli import OUTPUT_DIR_ENV, main
 from pcdnse.collective import SolitonCoords
-from pcdnse.io import write_field_csv
+from pcdnse.io import write_field_csv, write_field_json
 from pcdnse.model_continuum import FieldState, make_soliton_field
 
 
@@ -109,6 +109,57 @@ def test_fit_featureless_snapshot_is_numerical_failure(tmp_path, capsys):
                            FieldState(np.ones(64, dtype=complex), 64.0))
     assert main(["fit", "--input", str(flat)]) == 3
     assert "NoPeakError" in capsys.readouterr().err
+
+
+def _drop_line(text: str, prefix: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(prefix))
+
+
+def _edit_row(text: str, edit) -> str:
+    lines = text.splitlines(keepends=True)
+    lines[10] = edit(lines[10].rstrip("\n")) + "\n"     # a data row
+    return "".join(lines)
+
+
+MALFORMED_SNAPSHOTS = {
+    "missing_metadata": (".csv", lambda t: _drop_line(t, "# domain_length")),
+    "short_row": (".csv", lambda t: _edit_row(
+        t, lambda row: row.rsplit(",", 1)[0])),
+    "extra_column": (".csv", lambda t: _edit_row(t, lambda row: row + ",0")),
+    "non_numeric_cell": (".csv", lambda t: _edit_row(
+        t, lambda row: row.split(",")[0] + ",abc,0")),
+    "non_numeric_x": (".csv", lambda t: _edit_row(
+        t, lambda row: "1x," + row.split(",", 1)[1])),
+    "json_missing_key": (".json", lambda t: json.dumps(
+        {k: v for k, v in json.loads(t).items() if k != "re_psi"})),
+    "invalid_json": (".json", lambda t: t[: len(t) // 2]),
+    "json_null_value": (".json", lambda t: json.dumps(
+        {**json.loads(t), "re_psi": [None] * 400})),
+}
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_SNAPSHOTS))
+def test_malformed_snapshot_is_a_configuration_error(tmp_path, capsys,
+                                                     command, case):
+    suffix, corrupt = MALFORMED_SNAPSHOTS[case]
+    field = make_soliton_field(
+        SolitonCoords(psi=1.0, x0=20.0, v=0.1, w=1.0, d=0.0, phi=0.3),
+        40.0, 400)
+    write = write_field_json if suffix == ".json" else write_field_csv
+    snap = write(tmp_path / f"snap{suffix}", field, {"t": "0"})
+    snap.write_text(corrupt(snap.read_text()))
+    if command == "fit":
+        argv = ["fit", "--input", str(snap)]
+    else:
+        cfg = write_config(tmp_path, small_config(
+            initial={"field_file": str(snap)}))
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(snap) in err
+    assert "Traceback" not in err
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch):

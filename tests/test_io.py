@@ -2,9 +2,14 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_complex
 from pcdnse.io import (
@@ -118,3 +123,102 @@ def test_manifest_lists_files_with_checksums(tmp_path):
     for entry in payload["files"]:
         assert entry["sha256"] == sha256_file(tmp_path / entry["path"])
         assert entry["bytes"] == len((tmp_path / entry["path"]).read_bytes())
+
+
+# Reference renderers: one format_float per value and the stock json
+# encoder.  The bulk writers must reproduce their bytes exactly.
+
+def reference_field_csv(field, meta=None) -> bytes:
+    lines = [f"# domain_length={format_float(field.domain_length)}",
+             f"# boundary={field.boundary}"]
+    lines += [f"# {key}={value}" for key, value in (meta or {}).items()]
+    lines.append("x,re_psi,im_psi")
+    lines += [f"{format_float(xi)},{format_float(pi.real)},"
+              f"{format_float(pi.imag)}" for xi, pi in zip(field.x, field.psi)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_field_json(field, meta=None) -> bytes:
+    payload = {
+        "domain_length": field.domain_length,
+        "boundary": field.boundary,
+        "x": field.x.tolist(),
+        "re_psi": field.psi.real.tolist(),
+        "im_psi": field.psi.imag.tolist(),
+    }
+    if meta:
+        payload["meta"] = dict(meta)
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def reference_table_csv(columns) -> bytes:
+    arrays_ = [np.asarray(c) for c in columns.values()]
+    lines = [",".join(columns)]
+    lines += [",".join(format_float(a[i]) for a in arrays_)
+              for i in range(len(arrays_[0]))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+SPECIAL = np.array([-0.0, 5e-324, 1e300, 2.0, np.nan, np.inf, -np.inf,
+                    -1e-310, 0.1, 1.0 / 3.0])
+
+
+def _special_psi(n: int) -> np.ndarray:
+    psi = np.empty(n, dtype=complex)
+    psi.real = np.resize(SPECIAL, n)
+    psi.imag = np.resize(SPECIAL[::-1], n)
+    return psi
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, OPEN])
+@pytest.mark.parametrize("n", [16, 17, 4000])
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("meta", [None, {"t": "1.5", "note": 'a "b"\\c',
+                                          "z": "0"}])
+def test_field_writers_match_the_per_value_renderers(tmp_path, rng, boundary,
+                                                     n, special, meta):
+    psi = _special_psi(n) if special else random_complex(rng, n)
+    field = FieldState(psi, 40.0 + n / 3.0, boundary)
+    csv = write_field_csv(tmp_path / "f.csv", field, meta)
+    assert csv.read_bytes() == reference_field_csv(field, meta)
+    js = write_field_json(tmp_path / "f.json", field, meta)
+    assert js.read_bytes() == reference_field_json(field, meta)
+
+
+def test_field_json_nests_arbitrary_meta_like_the_stock_encoder(tmp_path,
+                                                                rng):
+    field = FieldState(random_complex(rng, 16), 16.0)
+    meta = {"b": "line\nbreak", "a": "{\n  \"x\": [1]\n}", "é": "ü\t"}
+    path = write_field_json(tmp_path / "f.json", field, meta)
+    assert path.read_bytes() == reference_field_json(field, meta)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4000])
+def test_table_csv_matches_the_per_value_renderer(tmp_path, rng, n):
+    columns = {
+        "t": np.linspace(0.0, 1.0, n),
+        "value": np.resize(SPECIAL, n),
+        "count": np.arange(n),
+        "flag": np.arange(n) % 2 == 0,
+        "single": rng.standard_normal(n).astype(np.float32),
+    }
+    path = write_table_csv(tmp_path / "t.csv", columns)
+    assert path.read_bytes() == reference_table_csv(columns)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(psi=arrays(np.complex128, st.integers(16, 40),
+                  elements=st.builds(complex, finite, finite)),
+       boundary=st.sampled_from([PERIODIC, OPEN]))
+def test_snapshot_round_trips_keep_every_bit(psi, boundary):
+    field = FieldState(psi, 10.0, boundary)
+    with tempfile.TemporaryDirectory() as tmp:
+        for write, read in ((write_field_csv, read_field_csv),
+                            (write_field_json, read_field_json)):
+            back = read(write(Path(tmp) / "snap", field))
+            assert back.psi.view(np.uint64).tolist() == \
+                psi.view(np.uint64).tolist()
+            assert back.boundary == boundary

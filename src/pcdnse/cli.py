@@ -13,6 +13,7 @@ environment variable, then the config file's ``output.directory``, then
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -143,7 +144,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="pcdnse",
         description="Particle-conserving dissipative lattice and field "
@@ -198,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -55,6 +55,7 @@ from .model_continuum import (
 )
 from .model_effective import make_chain_ode
 from .model_full import (
+    hopping_part,
     make_full_ode,
     rotating_frame_to_effective,
     steady_state_cavities,
@@ -510,7 +511,8 @@ def _dispatch_run(cfg, model, eff, res, chain, times, solver, out_dir,
         if model == "langevin":
             y0 = np.concatenate([steady_state_cavities(res, field0.n_points),
                                  field0.psi])
-            problem = OdeProblem(make_full_ode(res, chain), 0.0, times[-1], y0)
+            problem = OdeProblem(make_full_ode(res, chain), 0.0, times[-1],
+                                 y0, linear=hopping_part(res, chain))
             series = solve(problem, solver)
             site_series = rotating_frame_to_effective(series, res, chain)
         else:
@@ -677,7 +679,8 @@ def _fig3_single_size(sites: int, delta: float, g: float, gamma: float,
     cavities = steady_state_cavities(res, sites)
     full_series = solve(
         OdeProblem(make_full_ode(res, chain), 0.0, t_final,
-                   np.concatenate([cavities, field0.psi])),
+                   np.concatenate([cavities, field0.psi]),
+                   linear=hopping_part(res, chain)),
         solver_preset("langevin", snapshot_times=times))
     site_series = rotating_frame_to_effective(full_series, res, chain)
 

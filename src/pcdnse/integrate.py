@@ -391,7 +391,7 @@ class _LawsonStages:
             yhat_i = e * (self.yhat + h * (tab.a[i, :i] @ k[:i]))
             y_i = inverse(yhat_i)
             nhat_i = forward(rhs(t + tab.c[i] * h, y_i)) - lam * yhat_i
-            k[i] = nhat_i / e
+            np.divide(nhat_i, e, out=k[i])
         self.stats.n_rhs += n_stages - 1
         e = growth[1.0]
         if tab.fsal:

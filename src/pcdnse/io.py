@@ -110,12 +110,32 @@ def write_field_csv(path: str | Path, field: FieldState,
     return path
 
 
+def _bad_row(rows: list[str], line_numbers: list[int]) -> str | None:
+    """Where and how the first malformed data row is malformed, if any."""
+    for row, number in zip(rows, line_numbers):
+        fields = row.split(",")
+        if len(fields) != 3:
+            return (f"line {number}: {len(fields)} fields, expected 3 "
+                    "(x, re_psi, im_psi)")
+        for cell in fields:
+            try:
+                float(cell)
+            except ValueError:
+                return f"line {number}: {cell.strip()!r} is not a number"
+    return None
+
+
 def read_field_csv(path: str | Path) -> FieldState:
+    """Read a snapshot written by :func:`write_field_csv`.
+
+    A malformed data row raises ``ValueError`` naming its line in the file.
+    """
     path = Path(path)
     meta: dict[str, str] = {}
     rows: list[str] = []
+    line_numbers: list[int] = []
     with path.open() as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -126,10 +146,18 @@ def read_field_csv(path: str | Path) -> FieldState:
                 continue  # header row
             else:
                 rows.append(line)
+                line_numbers.append(number)
     if "domain_length" not in meta:
         raise ValueError("missing '# domain_length=...' metadata")
-    data = (np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-            if rows else np.empty((0, 3)))
+    try:
+        data = (np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+                if rows else np.empty((0, 3)))
+    except ValueError as exc:
+        # numpy counts data rows only and may suggest options of its own
+        where = _bad_row(rows, line_numbers)
+        if where is None:
+            raise
+        raise ValueError(where) from exc
     if data.shape[1] != 3:
         raise ValueError(f"data rows have {data.shape[1]} fields, "
                          "expected 3 (x, re_psi, im_psi)")

@@ -15,6 +15,13 @@ the effective frame, reached by the time-dependent (site-independent) gauge
 
 which removes the static cavity-induced frequency shift and re-centers the
 hopping band; it leaves all occupations |B_n|^2 untouched.
+
+The linear part of the flow, the cavity pole (i delta - kappa/2) A_n and the
+hopping i J (B_{n-1} + B_{n+1}), is diagonal on a periodic chain: the
+cavities are already uncoupled and the hopping is diagonal in the discrete
+Fourier basis of the sites.  :func:`hopping_part` hands it to the solver,
+which then steps it exactly in integrating-factor (Lawson) form, so the
+step no longer has to resolve the phase rotation of the hopping band.
 """
 
 from __future__ import annotations
@@ -22,10 +29,12 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 
-from .integrate import TimeSeries
+from .integrate import LinearPart, TimeSeries
 from .model_effective import _neighbour_sum
 from .params import (
+    PERIODIC,
     ChainParams,
     DegenerateDenominatorError,
     ReservoirParams,
@@ -34,6 +43,7 @@ from .params import (
 __all__ = [
     "steady_state_cavities",
     "make_full_ode",
+    "hopping_part",
     "rotating_frame_to_effective",
 ]
 
@@ -61,12 +71,45 @@ def make_full_ode(res: ReservoirParams,
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         a = y[:half]
         b = y[half:]
-        da = pole * a + eta - 1j * chi * np.abs(b) ** 2 * a
-        db = (-1j * chi * np.abs(a) ** 2 * b - 1j * alpha * np.abs(b) ** 2 * b
-              + 1j * j * _neighbour_sum(b, boundary))
-        return np.concatenate([da, db])
+        b2 = np.abs(b) ** 2
+        out = np.empty_like(y)
+        np.subtract(pole * a + eta, 1j * chi * b2 * a, out=out[:half])
+        np.add(-1j * chi * np.abs(a) ** 2 * b - 1j * alpha * b2 * b,
+               1j * j * _neighbour_sum(b, boundary), out=out[half:])
+        return out
 
     return rhs
+
+
+def hopping_part(res: ReservoirParams, chain: ChainParams) -> LinearPart | None:
+    """The linear part of the packed flow [A_n, B_n], for Lawson stepping.
+
+    T is the identity on the cavity half, where the eigenvalue is the pole
+    i delta - kappa/2, and the unitary DFT on the site half, where the
+    hopping i J (B_{n-1} + B_{n+1}) has the eigenvalues 2 i J cos(2 pi k/n).
+    These are taken at min(k, n - k), so the pairs lam_k = lam_{n-k} are
+    equal exactly and the solver exponentiates each value once.  Each
+    transform fills one new array: the cavity half is copied and only the
+    site half is transformed.  Open chains get ``None``.
+    """
+    if chain.boundary != PERIODIC:
+        return None
+    half = chain.sites
+    k = np.arange(half)
+    lam = np.empty(2 * half, dtype=complex)
+    lam[:half] = 1j * res.delta - res.kappa / 2.0
+    lam[half:] = 2j * chain.hopping * np.cos(
+        2.0 * np.pi * np.minimum(k, half - k) / half)
+
+    def on_sites(transform):
+        def apply(y: np.ndarray) -> np.ndarray:
+            out = np.empty(2 * half, dtype=complex)
+            out[:half] = y[:half]
+            out[half:] = transform(y[half:], norm="ortho")
+            return out
+        return apply
+
+    return LinearPart(lam, on_sites(scipy.fft.fft), on_sites(scipy.fft.ifft))
 
 
 def rotating_frame_to_effective(series: TimeSeries, res: ReservoirParams,

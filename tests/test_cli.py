@@ -162,6 +162,45 @@ def test_malformed_snapshot_is_a_configuration_error(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_fit_names_the_line_of_a_short_row(tmp_path, capsys):
+    snap = write_field_csv(tmp_path / "snap.csv", FieldState(
+        np.ones(64, dtype=complex), 64.0), {"t": "0"})
+    snap.write_text(_edit_row(snap.read_text(),
+                              lambda row: row.rsplit(",", 1)[0]))
+    assert main(["fit", "--input", str(snap)]) == 2
+    err = capsys.readouterr().err
+    assert "line 11: 2 fields, expected 3" in err
+    assert "usecols" not in err
+
+
+def test_back_to_back_calls_parse_independently(tmp_path, capsys):
+    snap = write_field_csv(tmp_path / "snap.csv", make_soliton_field(
+        SolitonCoords(psi=1.0, x0=20.0, v=0.1, w=1.0, d=0.0, phi=0.3),
+        40.0, 400))
+    flat = write_field_csv(tmp_path / "flat.csv",
+                           FieldState(np.ones(64, dtype=complex), 64.0))
+    cfg = write_config(tmp_path, small_config())
+
+    def echoed_solver(run):
+        echo = json.loads((tmp_path / run / "config_echo.json").read_text())
+        return echo["run"]["solver"]
+
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a"),
+                 "--rtol", "1e-6"]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--input", str(snap), "--residual-threshold",
+                 "1e-30"]) == 0
+    assert not json.loads(capsys.readouterr().out)["converged"]
+    assert main(["fit", "--input", str(snap)]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"]
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert echoed_solver("a")["rtol"] == 1e-6
+    assert echoed_solver("b")["rtol"] != 1e-6
+    assert main(["fit", "--input", str(tmp_path / "none.csv")]) == 2
+    assert main(["fit", "--input", str(flat)]) == 3
+    assert main(["params", "--out", str(tmp_path / "p"), "--num", "11"]) == 0
+
+
 def test_output_dir_precedence(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(env_dir))

@@ -160,10 +160,8 @@ def test_run_simulation_open_lattice_conserves_energy(tmp_path):
     assert diag["particle_conserved"]
 
 
-@pytest.mark.parametrize("boundary", ["periodic", "open"])
-def test_only_periodic_field_runs_step_the_dispersion_exactly(
-        tmp_path, monkeypatch, boundary):
-    # open grids stay on plain steps: their Laplacian needs a DST-I
+def _solved_problems(monkeypatch, cfg, out_dir) -> list:
+    """The problems ``run_simulation(cfg)`` hands to ``solve``."""
     real_solve = experiments.solve
     problems = []
 
@@ -172,9 +170,33 @@ def test_only_periodic_field_runs_step_the_dispersion_exactly(
         return real_solve(problem, config)
 
     monkeypatch.setattr(experiments, "solve", spy)
+    run_simulation(cfg, out_dir)
+    return problems
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_only_periodic_field_runs_step_the_dispersion_exactly(
+        tmp_path, monkeypatch, boundary):
+    # open grids stay on plain steps: their Laplacian needs a DST-I
     cfg = pcdnse_config(run={"t_final": 0.2, "snapshots": 2})
     cfg["grid"]["boundary"] = boundary
-    run_simulation(cfg, tmp_path)
+    problems = _solved_problems(monkeypatch, cfg, tmp_path)
+    assert len(problems) == 1
+    assert (problems[0].linear is None) == (boundary == "open")
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_only_periodic_langevin_runs_step_the_hopping_exactly(
+        tmp_path, monkeypatch, boundary):
+    # open chains stay on plain steps
+    problems = _solved_problems(monkeypatch, {
+        "model": "langevin",
+        "microscopic": {"chi": 0.05, "eta": 1.0, "kappa": 1.0, "delta": -0.1},
+        "sites": 24,
+        "boundary": boundary,
+        "initial": {"soliton": {"psi": 0.5, "x0": 12.0, "w": 2.0}},
+        "run": {"t_final": 0.2, "snapshots": 2},
+    }, tmp_path)
     assert len(problems) == 1
     assert (problems[0].linear is None) == (boundary == "open")
 

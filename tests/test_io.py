@@ -51,6 +51,24 @@ def test_field_csv_roundtrip_open_boundary(tmp_path, rng):
     assert np.array_equal(back.psi, field.psi)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row.rsplit(",", 1)[0], "line 11: 2 fields, expected 3"),
+    (lambda row: row + ",0", "line 11: 4 fields, expected 3"),
+    (lambda row: row.split(",")[0] + ",abc,0", "line 11: 'abc' is not a"),
+])
+def test_malformed_csv_row_is_named_by_its_line(tmp_path, edit, message):
+    path = write_field_csv(tmp_path / "field.csv",
+                           FieldState(np.ones(16, dtype=complex), 16.0),
+                           meta={"t": "0"})
+    lines = path.read_text().splitlines(keepends=True)
+    lines[10] = edit(lines[10].rstrip("\n")) + "\n"     # file line 11
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        read_field_csv(path)
+    assert str(info.value).startswith(message)
+    assert "usecols" not in str(info.value)
+
+
 def test_field_csv_requires_domain_length(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,re_psi,im_psi\n0,1,0\n1,0,1\n")

@@ -26,6 +26,7 @@ from .experiments import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    normalize_sweep_config,
     read_snapshot,
     run_experiment,
     run_params_sweep,
@@ -47,11 +48,14 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object")
+    return config
 
 
 def _resolve_out(flag_value: str | None, config_value: str | None,
@@ -74,21 +78,16 @@ def _print_checks(report: dict) -> None:
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
-    cfg = {}
-    if args.config:
-        raw = _load_config(args.config)
-        cfg = raw.get("params_sweep", {})
-        if not isinstance(cfg, dict):
-            raise ConfigError("config[params_sweep]: expected an object")
-    out_dir = _resolve_out(args.out, cfg.get("directory"), "out/params")
     kwargs = {}
+    if args.config:
+        kwargs = normalize_sweep_config(
+            _load_config(args.config).get("params_sweep", {}))
+    out_dir = _resolve_out(args.out, kwargs.pop("directory", None),
+                           "out/params")
     for key in ("chi", "eta", "kappa", "hopping", "delta_min", "delta_max",
                 "num"):
-        flag = getattr(args, key)
-        if flag is not None:
-            kwargs[key] = flag
-        elif key in cfg:
-            kwargs[key] = cfg[key]
+        if getattr(args, key) is not None:
+            kwargs[key] = getattr(args, key)
     report = run_params_sweep(out_dir, **kwargs)
     print(f"parameter sweep written to {out_dir}")
     _print_checks(report)
@@ -97,16 +96,19 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    solver = config.setdefault("run", {}).setdefault("solver", {})
-    if args.preset:
-        solver["preset"] = args.preset
-    if args.rtol is not None:
-        solver["rtol"] = args.rtol
-    if args.atol is not None:
-        solver["atol"] = args.atol
-    config_out = config.get("output", {}).get("directory") \
-        if isinstance(config.get("output"), dict) else None
-    out_dir = _resolve_out(args.out, config_out, "out/run")
+    overrides = {"preset": args.preset or None, "rtol": args.rtol,
+                 "atol": args.atol}
+    run = config.setdefault("run", {})
+    # A run or solver section that is not an object is left for
+    # run_simulation to reject with its key path.
+    if isinstance(run, dict) and isinstance(run.setdefault("solver", {}), dict):
+        run["solver"].update(
+            {key: value for key, value in overrides.items() if value is not None})
+    output = config.get("output")
+    config_out = output.get("directory") if isinstance(output, dict) else None
+    out_dir = _resolve_out(
+        args.out, config_out if isinstance(config_out, str) else None,
+        "out/run")
     manifest = run_simulation(config, out_dir)
     print(f"run complete: {out_dir}")
     diag = manifest.get("diagnostics", {})
@@ -137,8 +139,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(args.out, None, f"out/{args.figure}")
     report = run_experiment(ExperimentConfig(
-        figure=args.figure, out_dir=out_dir, full=args.full,
-        threads=args.threads))
+        figure=args.figure, out_dir=out_dir, full=args.full))
     print(f"experiment {args.figure} written to {out_dir}")
     _print_checks(report)
     return 0
@@ -190,11 +191,8 @@ def _parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a canned experiment")
     p_exp.add_argument("figure", choices=sorted(EXPERIMENTS))
     p_exp.add_argument("--out", help="output directory")
-    p_exp.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent sub-runs")
     p_exp.add_argument("--full", action="store_true",
-                       help="full-scale horizons instead of desk-scale "
-                            "presets")
+                       help="full-scale sizes and horizons (fig3a and fig5)")
     p_exp.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -5,8 +5,8 @@ levels) and writes snapshots, diagnostics, a fully-defaulted config echo,
 and a checksummed manifest into the output directory.  The ``run_figN``
 functions orchestrate multi-run comparisons, each emitting plot-ready CSVs
 plus a ``report.json`` whose ``checks`` section holds named pass/fail
-booleans.  Sub-runs are independent, so experiments farm them out to a
-thread pool.
+booleans.  Their sub-runs are independent and run in order on the calling
+thread; a sub-run that raises is recorded and the others still report.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -78,6 +77,7 @@ __all__ = [
     "normalize_config",
     "run_simulation",
     "run_params_sweep",
+    "normalize_sweep_config",
     "run_experiment",
     "read_snapshot",
     "EXPERIMENTS",
@@ -104,8 +104,8 @@ class ExperimentConfig:
 
     figure: str
     out_dir: Path
-    full: bool = False
-    threads: int = 1
+    full: bool = False  # fig3a and fig5 only
+    threads: int = 1  # must be 1: sub-runs run in order
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,8 @@ def _get_int(cfg: Mapping, key: str, path: str, default=None,
     return int(value)
 
 
-def _check_keys(cfg: Mapping, allowed: set[str], path: str) -> None:
+def _check_keys(cfg, allowed: set[str], path: str) -> None:
+    _expect(isinstance(cfg, Mapping), path, f"expected an object, got {cfg!r}")
     unknown = set(cfg) - allowed
     _expect(not unknown, path, f"unknown keys {sorted(unknown)}")
 
@@ -220,11 +221,13 @@ def normalize_config(config: Mapping) -> dict:
 
     _expect("initial" in config, "initial", "missing required section")
     init = config["initial"]
-    kinds = [k for k in ("soliton", "stable", "field_file") if k in init]
+    _check_keys(init, {"soliton", "stable", "field_file"}, "initial")
+    kinds = list(init)
     _expect(len(kinds) == 1, "initial",
             "exactly one of 'soliton', 'stable', 'field_file' required")
     kind = kinds[0]
-    _check_keys(init, {kind}, "initial")
+    _expect(model != "stable" or kind == "stable", "initial",
+            "the stable model needs an 'initial.stable' section")
     if kind == "soliton":
         s = init["soliton"]
         _check_keys(s, {"psi", "x0", "v", "w", "d", "phi"}, "initial.soliton")
@@ -291,6 +294,8 @@ def normalize_config(config: Mapping) -> dict:
     _expect(isinstance(formats, list) and formats
             and all(f in ("csv", "json") for f in formats),
             "output.formats", "must be a non-empty list drawn from ['csv', 'json']")
+    _expect(isinstance(output.get("directory"), (str, type(None))),
+            "output.directory", "expected a path string")
     out["output"] = {
         "directory": output.get("directory"),
         "formats": list(formats),
@@ -307,6 +312,23 @@ def normalize_config(config: Mapping) -> dict:
         raise ConfigError(f"config[run.solver]: {exc}") from exc
 
     return out
+
+
+_SWEEP_NUMBERS = ("chi", "eta", "kappa", "hopping", "delta_min", "delta_max")
+
+
+def normalize_sweep_config(section) -> dict:
+    """Validate a ``params_sweep`` config section and return a copy of it:
+    :func:`run_params_sweep` keyword arguments and an optional output
+    ``directory``.  Raises :class:`ConfigError` with the key path."""
+    path = "params_sweep"
+    _check_keys(section, {*_SWEEP_NUMBERS, "num", "directory"}, path)
+    for key in _SWEEP_NUMBERS:
+        _get_number(section, key, path)
+    _get_int(section, "num", path)
+    _expect(isinstance(section.get("directory", ""), str),
+            f"{path}.directory", "expected a path string")
+    return dict(section)
 
 
 def _solver_from_config(run_cfg: Mapping,
@@ -498,6 +520,19 @@ def _field_problem(field0: FieldState, eff: EffectiveParams,
                       linear=dispersion_part(field0, eff))
 
 
+def _chain_problem(res: ReservoirParams, chain: ChainParams, psi0: np.ndarray,
+                   t_end: float) -> OdeProblem:
+    """The cavity-chain flow over [0, t_end] from sites ``psi0``, with
+    every cavity at its steady state.
+
+    Periodic chains pass their cavity pole and hopping as the linear part,
+    so the solver steps them exactly; open chains take plain steps.
+    """
+    y0 = np.concatenate([steady_state_cavities(res, len(psi0)), psi0])
+    return OdeProblem(make_full_ode(res, chain), 0.0, t_end, y0,
+                      linear=hopping_part(res, chain))
+
+
 def _dispatch_run(cfg, model, eff, res, chain, times, solver, out_dir,
                   files) -> dict:
     stats_dict: Callable[[TimeSeries], dict] = lambda series: {
@@ -509,11 +544,8 @@ def _dispatch_run(cfg, model, eff, res, chain, times, solver, out_dir,
     if model in ("pcdnse", "lattice", "langevin"):
         field0 = _initial_field(cfg, eff)
         if model == "langevin":
-            y0 = np.concatenate([steady_state_cavities(res, field0.n_points),
-                                 field0.psi])
-            problem = OdeProblem(make_full_ode(res, chain), 0.0, times[-1],
-                                 y0, linear=hopping_part(res, chain))
-            series = solve(problem, solver)
+            series = solve(_chain_problem(res, chain, field0.psi, times[-1]),
+                           solver)
             site_series = rotating_frame_to_effective(series, res, chain)
         else:
             series = site_series = solve(
@@ -554,11 +586,7 @@ def _dispatch_run(cfg, model, eff, res, chain, times, solver, out_dir,
         return {"integrator": stats_dict(series), "diagnostics": diag}
 
     # stable: reduced three-coordinate flow on the stable manifold
-    init = cfg["initial"]
-    if "stable" not in init:
-        raise ConfigError("config[initial]: the stable model needs "
-                          "an 'initial.stable' section")
-    s = init["stable"]
+    s = cfg["initial"]["stable"]
     try:
         ss = stable_soliton(s["n_particles"], eff)
     except ValueError as exc:
@@ -599,18 +627,18 @@ def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
         raise ConfigError("params sweep needs at least 5 points")
     if delta_min >= delta_max:
         raise ConfigError("delta_min must be below delta_max")
+    deltas = np.linspace(delta_min, delta_max, num)
+    try:
+        chain = ChainParams(hopping=hopping, anharmonicity=0.0, sites=2)
+        effs = [effective_params(ReservoirParams(
+            chi=chi, eta=eta, kappa=kappa, delta=delta), chain)
+            for delta in deltas]
+    except ValueError as exc:
+        raise ConfigError(f"params sweep: {exc}") from exc
+    dg = np.array([eff.delta_g for eff in effs])
+    gam = np.array([eff.gamma for eff in effs])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    deltas = np.linspace(delta_min, delta_max, num)
-    chain = ChainParams(hopping=hopping, anharmonicity=0.0, sites=2)
-    dg = np.empty(num)
-    gam = np.empty(num)
-    for i, delta in enumerate(deltas):
-        eff = effective_params(
-            ReservoirParams(chi=chi, eta=eta, kappa=kappa, delta=delta), chain)
-        dg[i] = eff.delta_g
-        gam[i] = eff.gamma
 
     files = [io.write_table_csv(out_dir / "sweep.csv", {
         "delta": deltas, "delta_g": dg, "gamma": gam,
@@ -650,23 +678,23 @@ def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
 # figure-style experiments
 
 
-def _reference_soliton() -> SolitonCoords:
-    # Working point used across the comparison experiments: attractive
-    # g = -0.1 J, unit amplitude, stable width sqrt(20), moderate velocity.
-    return SolitonCoords(psi=1.0, x0=100.0, v=0.48, w=math.sqrt(20.0),
-                         d=0.0, phi=0.0)
+# Working point used across the comparison experiments: attractive
+# g = -0.1 J, unit amplitude, stable width sqrt(20), moderate velocity.
+_REFERENCE_SOLITON = SolitonCoords(psi=1.0, x0=100.0, v=0.48,
+                                   w=math.sqrt(20.0), d=0.0, phi=0.0)
 
 
-def _fig3_single_size(sites: int, delta: float, g: float, gamma: float,
-                      jt_scale: bool = True) -> dict:
-    """Langevin versus effective lattice at one chain size."""
+def _fig3_single_size(sites: int, delta: float) -> dict:
+    """Langevin versus effective lattice at one chain size, with the
+    reservoir tuned to g = -0.1 J, gamma = 0.05."""
     scale = sites / 400.0
-    ref = _reference_soliton()
+    ref = _REFERENCE_SOLITON
     coords = SolitonCoords(psi=ref.psi / scale, x0=sites / 4.0,
                            v=ref.v / scale, w=ref.w * scale, d=0.0, phi=0.0)
-    t_final = 50.0 * scale**2 if jt_scale else 50.0
+    t_final = 50.0 * scale**2
 
-    chi, alpha = invert_for_chi_alpha(g, gamma, eta=1.0, kappa=1.0, delta=delta)
+    chi, alpha = invert_for_chi_alpha(-0.1, 0.05, eta=1.0, kappa=1.0,
+                                      delta=delta)
     res = ReservoirParams(chi=chi, eta=1.0, kappa=1.0, delta=delta)
     chain = ChainParams(hopping=1.0, anharmonicity=alpha, sites=sites)
     eff = effective_params(res, chain)
@@ -676,12 +704,8 @@ def _fig3_single_size(sites: int, delta: float, g: float, gamma: float,
     r1, r2 = weak_coupling_ratios(res, chain, b_max)
 
     times = np.linspace(0.0, t_final, 3)
-    cavities = steady_state_cavities(res, sites)
-    full_series = solve(
-        OdeProblem(make_full_ode(res, chain), 0.0, t_final,
-                   np.concatenate([cavities, field0.psi]),
-                   linear=hopping_part(res, chain)),
-        solver_preset("langevin", snapshot_times=times))
+    full_series = solve(_chain_problem(res, chain, field0.psi, t_final),
+                        solver_preset("langevin", snapshot_times=times))
     site_series = rotating_frame_to_effective(full_series, res, chain)
 
     lattice_series = solve(
@@ -705,29 +729,24 @@ def _fig3_single_size(sites: int, delta: float, g: float, gamma: float,
         "r2": r2,
         "weak_coupling_ok": bool(max(r1, r2) < WEAK_COUPLING_ADVISORY),
         "linf_rel_langevin_vs_lattice": cmp_models.linf_rel,
-        "x_sites": x_sites,
-        "occ_langevin": occ_langevin,
-        "occ_lattice": occ_lattice,
+        "profile": {"site": x_sites, "occ_langevin": occ_langevin,
+                    "occ_lattice": occ_lattice},
     }
 
 
-def _run_jobs(fn: Callable[..., dict], jobs, threads: int
-              ) -> tuple[list[dict], list[str]]:
-    """Run ``fn(*job)`` for every job on a thread pool, keeping job order.
+def _run_jobs(fn: Callable[..., dict], jobs) -> tuple[list[dict], list[str]]:
+    """Run ``fn(*job)`` for every job, in job order.
 
     Returns the rows of the sub-runs that finished and one error message
     per sub-run that raised: partial datasets are allowed.
     """
-    def guarded(job) -> tuple[dict | None, str | None]:
+    rows, failures = [], []
+    for job in jobs:
         try:
-            return fn(*job), None
+            rows.append(fn(*job))
         except Exception as exc:  # noqa: BLE001 - recorded in the report
-            return None, f"{type(exc).__name__}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = list(pool.map(guarded, jobs))
-    return ([row for row, error in results if error is None],
-            [error for _, error in results if error is not None])
+            failures.append(f"{type(exc).__name__}: {exc}")
+    return rows, failures
 
 
 def _finish_report(out_dir: Path, files: list[Path], report: dict) -> dict:
@@ -742,7 +761,7 @@ def _tag(name: str, value: float) -> str:
     return f"{name}_{value:g}".replace("-", "m").replace(".", "p")
 
 
-def run_fig3a(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
+def run_fig3a(out_dir: str | Path, full: bool = False) -> dict:
     """Cross-model occupation profiles: microscopic vs lattice vs continuum.
 
     Chain sizes share one reference solution through the scaling family
@@ -756,8 +775,7 @@ def run_fig3a(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict
     out_dir.mkdir(parents=True, exist_ok=True)
     sizes = (100, 200, 400, 800) if full else (100, 200, 400)
 
-    ref = _reference_soliton()
-    field_ref = make_soliton_field(ref, 400.0, 4000, PERIODIC)
+    field_ref = make_soliton_field(_REFERENCE_SOLITON, 400.0, 4000, PERIODIC)
     eff_ref = EffectiveParams(g=-0.1, gamma=0.05, hopping=1.0)
     ref_series = solve(
         _field_problem(field_ref, eff_ref, 50.0),
@@ -765,8 +783,7 @@ def run_fig3a(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict
     occ_ref = np.abs(ref_series.states[-1]) ** 2
 
     rows, failures = _run_jobs(
-        _fig3_single_size, [(sites, -0.1, -0.1, 0.05) for sites in sizes],
-        threads)
+        _fig3_single_size, [(sites, -0.1) for sites in sizes])
 
     files = [io.write_table_csv(out_dir / "pcdnse_reference.csv", {
         "x": field_ref.x, "occupation": occ_ref,
@@ -774,20 +791,14 @@ def run_fig3a(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict
 
     table_rows = []
     for row in rows:
-        scale = row["scale"]
-        x_rescaled = row["x_sites"] / scale
-        cmp_lat = compare_profiles(x_rescaled, row["occ_lattice"] * scale**2,
-                                   field_ref.x, occ_ref)
-        cmp_lgv = compare_profiles(x_rescaled, row["occ_langevin"] * scale**2,
-                                   field_ref.x, occ_ref)
-        row["linf_rel_lattice_vs_continuum"] = cmp_lat.linf_rel
-        row["linf_rel_langevin_vs_continuum"] = cmp_lgv.linf_rel
+        scale, profile = row["scale"], row["profile"]
+        x_rescaled = profile["site"] / scale
+        for model in ("lattice", "langevin"):
+            row[f"linf_rel_{model}_vs_continuum"] = compare_profiles(
+                x_rescaled, profile[f"occ_{model}"] * scale**2,
+                field_ref.x, occ_ref).linf_rel
         files.append(io.write_table_csv(
-            out_dir / f"profiles_L{row['sites']}.csv", {
-                "site": row["x_sites"],
-                "occ_langevin": row["occ_langevin"],
-                "occ_lattice": row["occ_lattice"],
-            }))
+            out_dir / f"profiles_L{row['sites']}.csv", profile))
         table_rows.append({k: row[k] for k in (
             "sites", "t_final", "chi", "b_max", "r1", "r2",
             "weak_coupling_ok", "linf_rel_langevin_vs_lattice",
@@ -814,8 +825,7 @@ def run_fig3a(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict
         "failures": failures})
 
 
-def run_fig3b(out_dir: str | Path, full: bool = False,
-              threads: int = 1) -> dict:
+def run_fig3b(out_dir: str | Path) -> dict:
     """Reservoir-elimination breakdown at strong detuning.
 
     Same effective working point (g = -0.1 J, gamma = 0.05) realized at
@@ -833,21 +843,12 @@ def run_fig3b(out_dir: str | Path, full: bool = False,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows, failures = _run_jobs(
-        _fig3_single_size,
-        [(sites, d, -0.1, 0.05) for sites, d in ((800, -0.1), (400, -2.0))],
-        threads)
+    rows, failures = _run_jobs(_fig3_single_size,
+                               [(800, -0.1), (400, -2.0)])
 
-    files = []
-    for row in rows:
-        tag = f"{_tag('delta', row['delta'])}_L{row['sites']}"
-        files.append(io.write_table_csv(out_dir / f"profiles_{tag}.csv", {
-            "site": row["x_sites"],
-            "occ_langevin": row["occ_langevin"],
-            "occ_lattice": row["occ_lattice"],
-        }))
-        for k in ("x_sites", "occ_langevin", "occ_lattice"):
-            row.pop(k)
+    files = [io.write_table_csv(
+        out_dir / f"profiles_{_tag('delta', row['delta'])}_L{row['sites']}.csv",
+        row.pop("profile")) for row in rows]
 
     checks = {}
     for row in rows:
@@ -865,8 +866,9 @@ def run_fig3b(out_dir: str | Path, full: bool = False,
         "failures": failures})
 
 
-def _fig4_single_gamma(gamma: float, tight: bool) -> dict:
+def _fig4_single_gamma(gamma: float) -> dict:
     g = -0.1
+    tight = gamma < 0  # the anti-damped run is checked at tight tolerances
     eff = EffectiveParams(g=g, gamma=gamma, hopping=1.0)
     # Start at an eighth of the box; tails at the seam are ~1e-7 of peak.
     coords = SolitonCoords(psi=1.0, x0=75.0, v=0.49, w=math.sqrt(20.0),
@@ -895,7 +897,7 @@ def _fig4_single_gamma(gamma: float, tight: bool) -> dict:
     }
 
 
-def run_fig4(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
+def run_fig4(out_dir: str | Path) -> dict:
     """Velocity damping rate versus dissipation strength.
 
     Red-detuned (gamma > 0) runs must reproduce the collective-coordinate
@@ -904,10 +906,9 @@ def run_fig4(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    red = [0.0125, 0.025, 0.05, 0.1]
-    jobs = [(gamma, False) for gamma in red] + [(-0.0125, True)]
-
-    rows, failures = _run_jobs(_fig4_single_gamma, jobs, threads)
+    rows, failures = _run_jobs(
+        _fig4_single_gamma,
+        [(gamma,) for gamma in (0.0125, 0.025, 0.05, 0.1, -0.0125)])
 
     files = [io.write_table_csv(out_dir / "damping.csv", {
         key: np.array([r[key] for r in rows])
@@ -1001,7 +1002,7 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool) -> dict:
     return out
 
 
-def run_fig5(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
+def run_fig5(out_dir: str | Path, full: bool = False) -> dict:
     """Shape stabilization of perturbed solitons (hybrid method).
 
     For each amplitude perturbation delta the field equation is integrated
@@ -1017,7 +1018,7 @@ def run_fig5(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
     deltas = (-0.1, 0.01, 0.3)
 
     rows, failures = _run_jobs(
-        _fig5_single_delta, [(d, gamma, full) for d in deltas], threads)
+        _fig5_single_delta, [(d, gamma, full) for d in deltas])
 
     files = []
     checks = {}
@@ -1119,7 +1120,7 @@ def _fig6_single_gamma(gamma: float) -> dict:
     }
 
 
-def run_fig6(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
+def run_fig6(out_dir: str | Path) -> dict:
     """Colliding soliton pair: dissipation enhancement during overlap.
 
     Compares the two-soliton field energy against twice the single-soliton
@@ -1131,8 +1132,7 @@ def run_fig6(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     gammas = (0.0, 0.01)
 
-    rows, failures = _run_jobs(_fig6_single_gamma,
-                               [(g,) for g in gammas], threads)
+    rows, failures = _run_jobs(_fig6_single_gamma, [(g,) for g in gammas])
 
     files = []
     checks = {}
@@ -1160,13 +1160,8 @@ def run_fig6(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
         "failures": failures})
 
 
-def run_fig2(out_dir: str | Path, full: bool = False, threads: int = 1) -> dict:
-    """Detuning sweep of the effective constants (see run_params_sweep)."""
-    return run_params_sweep(out_dir)
-
-
 EXPERIMENTS: dict[str, Callable[..., dict]] = {
-    "fig2": run_fig2,
+    "fig2": run_params_sweep,
     "fig3a": run_fig3a,
     "fig3b": run_fig3b,
     "fig4": run_fig4,
@@ -1183,4 +1178,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
         raise ConfigError(
             f"unknown experiment {config.figure!r}; "
             f"choose from {sorted(EXPERIMENTS)}") from None
-    return runner(config.out_dir, full=config.full, threads=config.threads)
+    if config.threads != 1:
+        raise ConfigError(f"threads must be 1, got {config.threads!r}")
+    if config.full and config.figure not in ("fig3a", "fig5"):
+        raise ConfigError(f"{config.figure} has no full scale; only fig3a "
+                          "and fig5 have one")
+    return runner(config.out_dir, full=True) if config.full \
+        else runner(config.out_dir)

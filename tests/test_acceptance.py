@@ -60,30 +60,29 @@ def reference_field_run():
     return series.times, fields
 
 
-def _experiment(tmp_path_factory, figure, threads):
+def _experiment(tmp_path_factory, figure):
     return run_experiment(ExperimentConfig(
-        figure=figure, out_dir=tmp_path_factory.mktemp(figure),
-        threads=threads))
+        figure=figure, out_dir=tmp_path_factory.mktemp(figure)))
 
 
 @pytest.fixture(scope="module")
 def damping_report(tmp_path_factory):
-    return _experiment(tmp_path_factory, "fig4", threads=5)
+    return _experiment(tmp_path_factory, "fig4")
 
 
 @pytest.fixture(scope="module")
 def cross_model_report(tmp_path_factory):
-    return _experiment(tmp_path_factory, "fig3b", threads=2)
+    return _experiment(tmp_path_factory, "fig3b")
 
 
 @pytest.fixture(scope="module")
 def stabilization_report(tmp_path_factory):
-    return _experiment(tmp_path_factory, "fig5", threads=3)
+    return _experiment(tmp_path_factory, "fig5")
 
 
 @pytest.fixture(scope="module")
 def two_soliton_report(tmp_path_factory):
-    return _experiment(tmp_path_factory, "fig6", threads=2)
+    return _experiment(tmp_path_factory, "fig6")
 
 
 # ---------------------------------------------------------------------------

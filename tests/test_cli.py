@@ -60,7 +60,7 @@ def test_simulate_solver_flags_reach_the_integrator(tmp_path):
     assert echoed["run"]["solver"]["atol"] == 1e-8
 
 
-def test_simulate_rejects_malformed_configs(tmp_path, capsys):
+def test_simulate_rejects_malformed_configs(tmp_path, capsys, monkeypatch):
     bad_model = write_config(tmp_path, small_config(model="quantum"), "m.json")
     assert main(["simulate", "--config", bad_model,
                  "--out", str(tmp_path / "x")]) == 2
@@ -75,6 +75,72 @@ def test_simulate_rejects_malformed_configs(tmp_path, capsys):
     assert main(["simulate", "--config", str(broken),
                  "--out", str(tmp_path / "x")]) == 2
     assert "line 1" in capsys.readouterr().err
+
+    # sections that are not JSON objects, with and without solver flags
+    for text in ("[]", "5", '"run"'):
+        top = tmp_path / "top.json"
+        top.write_text(text)
+        for flags in ([], ["--rtol", "1e-6"]):
+            assert main(["simulate", "--config", str(top),
+                         "--out", str(tmp_path / "x"), *flags]) == 2
+            assert "JSON object" in capsys.readouterr().err
+    sections = [(key,) for key in ("effective", "grid", "initial", "run",
+                                   "output")]
+    for path in sections + [("initial", "soliton"), ("run", "solver")]:
+        for flags in ([], ["--rtol", "1e-6", "--preset", "pcdnse"]):
+            cfg = small_config()
+            parent = cfg[path[0]] if len(path) == 2 else cfg
+            parent[path[-1]] = 5
+            bad = write_config(tmp_path, cfg, "section.json")
+            assert main(["simulate", "--config", bad,
+                         "--out", str(tmp_path / "x"), *flags]) == 2
+            err = capsys.readouterr().err
+            assert "configuration error" in err
+            assert f"config[{'.'.join(path)}]: expected an object" in err
+
+    # a directory that is not a path string, with no --out flag
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    bad = write_config(tmp_path, small_config(output={"directory": 5}),
+                       "directory.json")
+    assert main(["simulate", "--config", bad]) == 2
+    assert "config[output.directory]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "top level must be a JSON object"),
+    ('{"params_sweep": 5}', "config[params_sweep]: expected an object"),
+    ('{"params_sweep": {"chi": "a"}}', "config[params_sweep.chi]"),
+    ('{"params_sweep": {"kapa": 1}}', "unknown keys ['kapa']"),
+    ('{"params_sweep": {"num": 2.5}}', "config[params_sweep.num]"),
+    ('{"params_sweep": {"directory": 5}}', "config[params_sweep.directory]"),
+    ('{"params_sweep": {"chi": -1}}', "chi must be non-negative"),
+])
+def test_params_rejects_malformed_configs(tmp_path, capsys, text, message):
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    assert main(["params", "--config", str(path),
+                 "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not (tmp_path / "p").exists()
+
+
+def test_params_config_sets_sweep_and_directory(tmp_path, monkeypatch):
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    path = write_config(tmp_path, {"params_sweep": {
+        "num": 11, "chi": 0.1, "directory": str(tmp_path / "from_config")}})
+    assert main(["params", "--config", path]) == 0
+    report = json.loads(
+        (tmp_path / "from_config" / "report.json").read_text())
+    assert report["sweep_points"] == 11
+    assert report["parameters"]["chi"] == 0.1
+    # a flag beats the config file
+    assert main(["params", "--config", path, "--num", "21"]) == 0
+    report = json.loads(
+        (tmp_path / "from_config" / "report.json").read_text())
+    assert report["sweep_points"] == 21
 
 
 def test_simulate_numerical_failure_exits_3(tmp_path, capsys):
@@ -232,3 +298,14 @@ def test_experiment_command(tmp_path, capsys):
     assert (tmp_path / "fig2" / "report.json").exists()
     with pytest.raises(SystemExit):
         main(["experiment", "fig9"])
+
+
+def test_experiment_flags_that_would_do_nothing_exit_2(tmp_path, capsys):
+    out = tmp_path / "fig4"
+    assert main(["experiment", "fig4", "--full", "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "fig4", "--threads", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

@@ -1,10 +1,14 @@
 """Config validation and single-run driver behavior on small problems."""
 
+import copy
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pcdnse import experiments
@@ -69,11 +73,58 @@ def test_normalize_config_fills_defaults_and_is_idempotent():
     (lambda c: c["run"].update(t_final=True), "number"),
     (lambda c: c.update(output={"formats": ["yaml"]}), "formats"),
     (lambda c: c.update(output={"field_files": 1}), "field_files"),
+    (lambda c: c.update(output={"directory": 5}), "output.directory"),
+    (lambda c: c.update(effective=5), "config.effective.: expected an object"),
+    (lambda c: c.update(grid=5), "config.grid.: expected an object"),
+    (lambda c: c.update(initial=5), "config.initial.: expected an object"),
+    (lambda c: c.update(initial="soliton"),
+     "config.initial.: expected an object, got 'soliton'"),
+    (lambda c: c.update(run=5), "config.run.: expected an object"),
+    (lambda c: c.update(output=5), "config.output.: expected an object"),
+    (lambda c: c["initial"].update(soliton=5),
+     "config.initial.soliton.: expected an object"),
+    (lambda c: c["run"].update(solver=5),
+     "config.run.solver.: expected an object"),
 ])
 def test_normalize_config_rejects_malformed_input(mangle, message):
     cfg = pcdnse_config()
     mangle(cfg)
     with pytest.raises(ConfigError, match=message):
+        normalize_config(cfg)
+
+
+def langevin_config():
+    return {
+        "model": "langevin",
+        "microscopic": {"chi": 0.05, "eta": 1.0, "kappa": 1.0, "delta": -0.5},
+        "sites": 16,
+        "initial": {"soliton": {"psi": 0.5, "x0": 8.0, "w": 2.0}},
+        "run": {"t_final": 1.0, "solver": {"preset": "langevin"}},
+        "output": {"formats": ["csv"]},
+    }
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.floats(allow_nan=False), st.text(max_size=8))
+_SECTIONS = [(pcdnse_config, path) for path in (
+    ("effective",), ("grid",), ("initial",), ("initial", "soliton"),
+    ("run",), ("run", "solver"), ("output",))] + [
+    (langevin_config, path) for path in (
+        ("microscopic",), ("initial",), ("run", "solver"), ("output",))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(section=st.sampled_from(_SECTIONS),
+       value=st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=4)))
+def test_a_section_that_is_not_an_object_is_a_config_error(section, value):
+    make, path = section
+    cfg = make()
+    assert normalize_config(copy.deepcopy(cfg))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ConfigError, match=r"expected an object"):
         normalize_config(cfg)
 
 
@@ -317,3 +368,34 @@ def test_experiment_registry_and_dispatch(tmp_path):
     report = run_experiment(ExperimentConfig(figure="fig2",
                                              out_dir=tmp_path / "fig2"))
     assert all(report["checks"].values())
+
+
+@pytest.mark.parametrize("figure", ["fig2", "fig3b", "fig4", "fig6"])
+def test_run_experiment_rejects_full_without_a_full_scale(tmp_path, figure):
+    with pytest.raises(ConfigError, match="no full scale"):
+        run_experiment(ExperimentConfig(figure=figure, out_dir=tmp_path / "x",
+                                        full=True))
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("threads", [0, 2, 5])
+def test_run_experiment_rejects_threads_other_than_one(tmp_path, threads):
+    with pytest.raises(ConfigError, match="threads must be 1"):
+        run_experiment(ExperimentConfig(figure="fig4", out_dir=tmp_path / "x",
+                                        threads=threads))
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_jobs_runs_in_order_and_keeps_the_rows_that_finish():
+    calls = []
+
+    def job(i):
+        calls.append((i, threading.get_ident()))
+        if i == 1:
+            raise ValueError("sub-run 1 broke")
+        return {"i": i}
+
+    rows, failures = experiments._run_jobs(job, [(0,), (1,), (2,)])
+    assert calls == [(i, threading.get_ident()) for i in range(3)]
+    assert rows == [{"i": 0}, {"i": 2}]
+    assert failures == ["ValueError: sub-run 1 broke"]

@@ -26,6 +26,7 @@ from .experiments import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    normalize_config,
     normalize_sweep_config,
     read_snapshot,
     run_experiment,
@@ -100,16 +101,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                  "atol": args.atol}
     run = config.setdefault("run", {})
     # A run or solver section that is not an object is left for
-    # run_simulation to reject with its key path.
+    # normalize_config to reject with its key path.
     if isinstance(run, dict) and isinstance(run.setdefault("solver", {}), dict):
         run["solver"].update(
             {key: value for key, value in overrides.items() if value is not None})
-    output = config.get("output")
-    config_out = output.get("directory") if isinstance(output, dict) else None
-    out_dir = _resolve_out(
-        args.out, config_out if isinstance(config_out, str) else None,
-        "out/run")
-    manifest = run_simulation(config, out_dir)
+    cfg = normalize_config(config)
+    out_dir = _resolve_out(args.out, cfg["output"]["directory"], "out/run")
+    manifest = run_simulation(cfg, out_dir)
     print(f"run complete: {out_dir}")
     diag = manifest.get("diagnostics", {})
     for key in ("particle_drift", "particle_conserved", "energy_drift",

@@ -46,7 +46,7 @@ COORD_ORDER = ("psi", "x0", "v", "w", "d", "phi")
 
 #: Below this width the averaged equations are meaningless (the ansatz
 #: collapses); the right-hand side refuses to continue.
-DEFAULT_WIDTH_FLOOR = 1e-6
+WIDTH_FLOOR = 1e-6
 
 
 class WidthCollapseError(ValueError):
@@ -94,22 +94,20 @@ class SolitonCoords:
 
 
 def collective_rhs(
-    coords: SolitonCoords | np.ndarray,
-    eff: EffectiveParams,
-    width_floor: float = DEFAULT_WIDTH_FLOOR,
+    coords: SolitonCoords | np.ndarray, eff: EffectiveParams
 ) -> np.ndarray:
     """Time derivatives of the six coordinates, in :data:`COORD_ORDER`.
 
     Raises :class:`WidthCollapseError` if the width is at or below
-    ``width_floor``.
+    :data:`WIDTH_FLOOR`.
     """
     if isinstance(coords, SolitonCoords):
         psi, x0, v, w, d, phi = coords.to_array()
     else:
         psi, x0, v, w, d, phi = map(float, coords)
-    if w <= width_floor:
+    if w <= WIDTH_FLOOR:
         raise WidthCollapseError(
-            f"soliton width {w!r} at or below collapse floor {width_floor!r}")
+            f"soliton width {w!r} at or below collapse floor {WIDTH_FLOOR!r}")
 
     j = eff.hopping
     g = eff.g
@@ -130,11 +128,11 @@ def collective_rhs(
 
 
 def make_collective_ode(
-    eff: EffectiveParams, width_floor: float = DEFAULT_WIDTH_FLOOR
+    eff: EffectiveParams,
 ) -> Callable[[float, np.ndarray], np.ndarray]:
     """Integrator-ready closure over :func:`collective_rhs`."""
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return collective_rhs(y, eff, width_floor)
+        return collective_rhs(y, eff)
 
     return rhs
 

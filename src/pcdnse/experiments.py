@@ -11,8 +11,10 @@ thread; a sub-run that raises is recorded and the others still report.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +32,7 @@ from .analysis import (
 )
 from .collective import (
     SolitonCoords,
+    StableSoliton,
     ansatz_energy,
     make_collective_ode,
     make_stable_ode,
@@ -124,8 +127,10 @@ def _get_number(cfg: Mapping, key: str, path: str, default=None,
             raise ConfigError(f"config[{path}.{key}]: missing required key")
         return default
     value = cfg[key]
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"{path}.{key}", f"expected a number, got {value!r}")
+    # NaN fails the comparison, as does an int too large for a float
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max,
+            f"{path}.{key}", f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -212,12 +217,15 @@ def normalize_config(config: Mapping) -> dict:
                 "must be at least 16")
     elif model in ("lattice", "langevin"):
         sites = _get_int(config, "sites", "", required=True)
-        _expect(sites >= 2, "sites", "must be at least 2")
+        _expect(sites >= 16, "sites", "must be at least 16")
         boundary = config.get("boundary", PERIODIC)
         _expect(boundary in (PERIODIC, OPEN), "boundary",
                 f"must be '{PERIODIC}' or '{OPEN}'")
         out["sites"] = sites
         out["boundary"] = boundary
+    for key in ("grid", "sites", "boundary"):
+        _expect(key not in config or key in out, key,
+                f"not read by the {model} model")
 
     _expect("initial" in config, "initial", "missing required section")
     init = config["initial"]
@@ -331,61 +339,6 @@ def normalize_sweep_config(section) -> dict:
     return dict(section)
 
 
-def _solver_from_config(run_cfg: Mapping,
-                        snapshot_times: np.ndarray) -> SolverConfig:
-    s = run_cfg["solver"]
-    return SolverConfig(method=s["method"], rtol=s["rtol"], atol=s["atol"],
-                        max_steps=s["max_steps"], snapshot_times=snapshot_times)
-
-
-def _params_from_config(cfg: Mapping, sites: int | None
-                        ) -> tuple[EffectiveParams, ReservoirParams | None,
-                                   ChainParams | None]:
-    if "microscopic" in cfg:
-        m = cfg["microscopic"]
-        try:
-            res = ReservoirParams(chi=m["chi"], eta=m["eta"], kappa=m["kappa"],
-                                  delta=m["delta"])
-            chain = ChainParams(hopping=m["hopping"],
-                                anharmonicity=m["anharmonicity"],
-                                sites=sites if sites else 2,
-                                boundary=cfg.get("boundary", PERIODIC))
-            return effective_params(res, chain), res, chain
-        except ValueError as exc:
-            raise ConfigError(f"config[microscopic]: {exc}") from exc
-    e = cfg["effective"]
-    try:
-        eff = EffectiveParams(g=e["g"], delta_g=e["delta_g"], gamma=e["gamma"],
-                              hopping=e["hopping"])
-    except ValueError as exc:
-        raise ConfigError(f"config[effective]: {exc}") from exc
-    return eff, None, None
-
-
-def _coords_from_config(cfg: Mapping, eff: EffectiveParams) -> SolitonCoords:
-    init = cfg["initial"]
-    if "stable" in init:
-        s = init["stable"]
-        try:
-            ss = stable_soliton(s["n_particles"], eff)
-        except ValueError as exc:
-            raise ConfigError(f"config[initial.stable]: {exc}") from exc
-        return ss.coords(x0=s["x0"], v=s["v"], phi=s["phi"])
-    s = init["soliton"]
-    w = s["w"]
-    if w is None:
-        # Stable width for this amplitude: psi^2 w^2 = -2J/g.
-        if eff.g >= 0 or s["psi"] <= 0:
-            raise ConfigError(
-                "config[initial.soliton.w]: omitted width needs g < 0 and psi > 0")
-        w = math.sqrt(-2.0 * eff.hopping / eff.g) / s["psi"]
-    try:
-        return SolitonCoords(psi=s["psi"], x0=s["x0"], v=s["v"], w=w,
-                             d=s["d"], phi=s["phi"])
-    except ValueError as exc:
-        raise ConfigError(f"config[initial.soliton]: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # single runs
 
@@ -412,35 +365,28 @@ def _write_field_outputs(out_dir: Path, series_fields: list[FieldState],
 
 
 def run_simulation(config: Mapping, out_dir: str | Path) -> dict:
-    """Execute one configured run; write outputs; return the manifest dict."""
+    """Execute one configured run; write outputs; return the manifest dict.
+
+    Every input is built before ``out_dir`` is created, so a rejected
+    config raises :class:`ConfigError` and writes nothing.
+    """
     cfg = normalize_config(config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files: list[Path] = [io.write_json(out_dir / "config_echo.json", cfg)]
-
-    model = cfg["model"]
-    sites = cfg.get("sites")
-    eff, res, chain = _params_from_config(cfg, sites)
-    times = np.linspace(0.0, cfg["run"]["t_final"], cfg["run"]["snapshots"])
-    solver = _solver_from_config(cfg["run"], times)
-
-    manifest_extra: dict = {"model": model}
-    if res is not None:
-        manifest_extra["effective_derived"] = {
-            "g": eff.g, "delta_g": eff.delta_g, "gamma": eff.gamma,
-            "hopping": eff.hopping,
-        }
-
-    caught: list[str] = []
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always", ContainmentWarning)
-        result = _dispatch_run(cfg, model, eff, res, chain, times, solver,
-                               out_dir, files)
+        eff, res, chain, start, solver = _build_run(cfg)
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        files = [io.write_json(out_dir / "config_echo.json", cfg)]
+        result = _dispatch_run(cfg, eff, res, chain, start, solver, out_dir,
+                               files)
         caught = [str(w.message) for w in wlist
                   if issubclass(w.category, ContainmentWarning)]
+
+    manifest_extra: dict = {"model": cfg["model"]}
+    if res is not None:
+        manifest_extra["effective_derived"] = dataclasses.asdict(eff)
     if caught:
         manifest_extra["warnings"] = caught
-
     manifest_extra.update(result)
     manifest = io.write_manifest(out_dir, files, manifest_extra)
     with manifest.open() as fh:
@@ -486,9 +432,67 @@ def read_snapshot(path: str | Path, where: str) -> FieldState:
         raise ConfigError(f"{where}: cannot read {path}: {exc}") from exc
 
 
-def _initial_field(cfg, eff) -> FieldState:
-    """Initial field on the configured grid; a lattice is the dx = 1 grid."""
-    if cfg["model"] == "pcdnse":
+def _build_run(cfg: Mapping) -> tuple:
+    """The typed inputs of a normalized run config: the effective, reservoir
+    and chain parameters (the last two ``None`` without a ``microscopic``
+    section), the start state and the solver.
+
+    A value the constructors reject raises :class:`ConfigError` naming the
+    config section it came from.
+    """
+    where = "microscopic" if "microscopic" in cfg else "effective"
+    try:
+        res = chain = None
+        if where == "microscopic":
+            m = cfg["microscopic"]
+            res = ReservoirParams(chi=m["chi"], eta=m["eta"], kappa=m["kappa"],
+                                  delta=m["delta"])
+            chain = ChainParams(hopping=m["hopping"],
+                                anharmonicity=m["anharmonicity"],
+                                sites=cfg.get("sites", 2),
+                                boundary=cfg.get("boundary", PERIODIC))
+            eff = effective_params(res, chain)
+        else:
+            eff = EffectiveParams(**cfg["effective"])
+        [(kind, spec)] = cfg["initial"].items()
+        where = f"initial.{kind}"
+        start = _start_state(cfg, eff, kind, spec)
+        where = "run.solver"
+        run = cfg["run"]
+        solver = SolverConfig(
+            **{k: v for k, v in run["solver"].items() if k != "preset"},
+            snapshot_times=np.linspace(0.0, run["t_final"], run["snapshots"]))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"config[{where}]: {exc}") from exc
+    return eff, res, chain, start, solver
+
+
+def _start_state(cfg: Mapping, eff: EffectiveParams, kind: str, spec
+                 ) -> FieldState | SolitonCoords | StableSoliton:
+    """The start of the run: a :class:`StableSoliton` for the stable model,
+    :class:`SolitonCoords` for the collective one, and otherwise the field
+    on the configured grid, where a lattice is the dx = 1 grid."""
+    model = cfg["model"]
+    if kind == "stable":
+        ss = stable_soliton(spec["n_particles"], eff)
+        if model == "stable":
+            return ss
+        coords = ss.coords(x0=spec["x0"], v=spec["v"], phi=spec["phi"])
+    elif kind == "soliton":
+        w = spec["w"]
+        if w is None:
+            # Stable width for this amplitude: psi^2 w^2 = -2J/g.
+            if eff.g >= 0 or spec["psi"] <= 0:
+                raise ConfigError("config[initial.soliton.w]: omitted width "
+                                  "needs g < 0 and psi > 0")
+            w = math.sqrt(-2.0 * eff.hopping / eff.g) / spec["psi"]
+        coords = SolitonCoords(**{**spec, "w": w})
+    if model == "collective":
+        return coords
+
+    if model == "pcdnse":
         grid = cfg["grid"]
         domain_length, n_points = grid["domain_length"], grid["n_points"]
         boundary = grid["boundary"]
@@ -496,16 +500,12 @@ def _initial_field(cfg, eff) -> FieldState:
         n_points, boundary = cfg["sites"], cfg["boundary"]
         domain_length = float(n_points if boundary == PERIODIC
                               else n_points - 1)
-    init = cfg["initial"]
-    if "field_file" in init:
-        field = read_snapshot(init["field_file"],
-                              "config[initial.field_file]")
+    if kind == "field_file":
+        field = read_snapshot(spec, "config[initial.field_file]")
         if field.n_points != n_points:
-            raise ConfigError(
-                "config[initial.field_file]: grid size "
-                f"{field.n_points} does not match configured {n_points}")
+            raise ValueError(f"grid size {field.n_points} does not match "
+                             f"configured {n_points}")
         return FieldState(field.psi, domain_length, boundary)
-    coords = _coords_from_config(cfg, eff)
     return make_soliton_field(coords, domain_length, n_points, boundary)
 
 
@@ -533,8 +533,10 @@ def _chain_problem(res: ReservoirParams, chain: ChainParams, psi0: np.ndarray,
                       linear=hopping_part(res, chain))
 
 
-def _dispatch_run(cfg, model, eff, res, chain, times, solver, out_dir,
+def _dispatch_run(cfg, eff, res, chain, start, solver, out_dir,
                   files) -> dict:
+    model = cfg["model"]
+    t_end = solver.snapshot_times[-1]
     stats_dict: Callable[[TimeSeries], dict] = lambda series: {
         "accepted_steps": series.stats.n_accepted,
         "rejected_steps": series.stats.n_rejected,
@@ -542,14 +544,14 @@ def _dispatch_run(cfg, model, eff, res, chain, times, solver, out_dir,
     }
 
     if model in ("pcdnse", "lattice", "langevin"):
-        field0 = _initial_field(cfg, eff)
+        field0 = start
         if model == "langevin":
-            series = solve(_chain_problem(res, chain, field0.psi, times[-1]),
+            series = solve(_chain_problem(res, chain, field0.psi, t_end),
                            solver)
             site_series = rotating_frame_to_effective(series, res, chain)
         else:
             series = site_series = solve(
-                _field_problem(field0, eff, times[-1]), solver)
+                _field_problem(field0, eff, t_end), solver)
         fields = [field0.with_psi(s) for s in site_series.states]
         n_series = [particle_number(f) for f in fields]
         e_series = [field_energy(f, eff) for f in fields]
@@ -568,9 +570,8 @@ def _dispatch_run(cfg, model, eff, res, chain, times, solver, out_dir,
         return {"integrator": stats_dict(series), "diagnostics": diag}
 
     if model == "collective":
-        coords0 = _coords_from_config(cfg, eff)
-        problem = OdeProblem(make_collective_ode(eff), 0.0, times[-1],
-                             coords0.to_array())
+        problem = OdeProblem(make_collective_ode(eff), 0.0, t_end,
+                             start.to_array())
         series = solve(problem, solver)
         psi, x0, v, w, d, phi = series.states.real.T
         files.append(io.write_table_csv(out_dir / "trajectory.csv", {
@@ -586,13 +587,10 @@ def _dispatch_run(cfg, model, eff, res, chain, times, solver, out_dir,
         return {"integrator": stats_dict(series), "diagnostics": diag}
 
     # stable: reduced three-coordinate flow on the stable manifold
+    ss = start
     s = cfg["initial"]["stable"]
-    try:
-        ss = stable_soliton(s["n_particles"], eff)
-    except ValueError as exc:
-        raise ConfigError(f"config[initial.stable]: {exc}") from exc
     y0 = np.array([s["x0"], s["v"], s["phi"]])
-    problem = OdeProblem(make_stable_ode(ss), 0.0, times[-1], y0)
+    problem = OdeProblem(make_stable_ode(ss), 0.0, t_end, y0)
     series = solve(problem, solver)
     x0_t, v_t, phi_t = series.states.real.T
     files.append(io.write_table_csv(out_dir / "trajectory.csv", {

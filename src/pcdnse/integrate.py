@@ -133,8 +133,9 @@ class SolverConfig:
                 f"unknown method {self.method!r}; "
                 f"choose from {sorted(set(_METHOD_ALIASES))}"
             )
-        if self.rtol <= 0 or self.atol < 0:
-            raise ValueError("rtol must be > 0 and atol >= 0")
+        # NaN fails both comparisons
+        if not (0 < self.rtol < math.inf and 0 <= self.atol < math.inf):
+            raise ValueError("rtol must be finite and > 0, atol finite >= 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 

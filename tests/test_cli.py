@@ -108,6 +108,50 @@ def test_simulate_rejects_malformed_configs(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+_MICROSCOPIC = {"chi": 0.05, "eta": 1.0, "kappa": 1.0, "delta": -0.5}
+_INF, _NAN = float("inf"), float("nan")
+
+
+# small_config overrides; a section set to None is left out
+@pytest.mark.parametrize("overrides, flags", [
+    pytest.param({"effective": None,
+                  "microscopic": {**_MICROSCOPIC, "chi": -0.05}}, [],
+                 id="chi_negative"),
+    pytest.param({"effective": None, "microscopic": {
+        **_MICROSCOPIC, "kappa": 0.0, "delta": 0.0}}, [],
+                 id="kappa_delta_zero"),
+    pytest.param({"initial": {"soliton": {"psi": -1.0, "x0": 20.0,
+                                          "w": 1.0}}}, [], id="psi_negative"),
+    pytest.param({"initial": {"soliton": {"psi": 1.0, "x0": 20.0,
+                                          "w": 0.0}}}, [], id="w_zero"),
+    pytest.param({"effective": {"g": 2.0},
+                  "initial": {"soliton": {"psi": 1.0, "x0": 20.0}}}, [],
+                 id="omitted_w_repulsive"),
+    pytest.param({"model": "stable", "grid": None,
+                  "initial": {"stable": {"n_particles": 0.0}}}, [],
+                 id="n_particles_zero"),
+    pytest.param({"initial": {"field_file": "/nonexistent/start.csv"}}, [],
+                 id="missing_field_file"),
+    pytest.param({"grid": {"domain_length": _INF, "n_points": 400}}, [],
+                 id="infinite_domain_length"),
+    pytest.param({"run": {"t_final": _INF}}, [], id="infinite_t_final"),
+    pytest.param({"run": {"t_final": 0.5, "solver": {"rtol": _NAN}}}, [],
+                 id="nan_rtol"),
+    pytest.param({}, ["--rtol", "nan"], id="nan_rtol_flag"),
+    pytest.param({}, ["--atol", "inf"], id="infinite_atol_flag"),
+    pytest.param({"model": "collective"}, [], id="collective_with_grid"),
+])
+def test_simulate_rejects_invalid_values_and_writes_nothing(
+        tmp_path, capsys, overrides, flags):
+    cfg = {key: value for key, value in small_config(**overrides).items()
+           if value is not None}
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out), *flags]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("[1]", "top level must be a JSON object"),
     ('{"params_sweep": 5}', "config[params_sweep]: expected an object"),

@@ -14,6 +14,7 @@ from pcdnse.collective import (
     COORD_ORDER,
     RepulsiveInteractionError,
     SolitonCoords,
+    WIDTH_FLOOR,
     WidthCollapseError,
     ansatz_energy,
     collective_rhs,
@@ -177,8 +178,11 @@ def test_width_collapse_raises():
     # raw-array form takes the same guard
     with pytest.raises(WidthCollapseError):
         collective_rhs(np.array([1.0, 0.0, 0.0, 1e-9, 0.0, 0.0]), EFF)
-    # a looser floor admits the same state
-    collective_rhs(bad, EFF, width_floor=1e-8)
+    # the floor itself is refused, a width just above it admitted
+    with pytest.raises(WidthCollapseError):
+        collective_rhs(np.array([1.0, 0.0, 0.0, WIDTH_FLOOR, 0.0, 0.0]), EFF)
+    collective_rhs(np.array([1.0, 0.0, 0.0, np.nextafter(WIDTH_FLOOR, 1.0),
+                             0.0, 0.0]), EFF)
 
 
 def test_stable_soliton_rejects_bad_inputs():

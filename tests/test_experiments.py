@@ -85,6 +85,31 @@ def test_normalize_config_fills_defaults_and_is_idempotent():
      "config.initial.soliton.: expected an object"),
     (lambda c: c["run"].update(solver=5),
      "config.run.solver.: expected an object"),
+    (lambda c: c["grid"].update(domain_length=math.inf),
+     "config.grid.domain_length.: expected a finite number, got inf"),
+    (lambda c: c["run"].update(t_final=math.inf),
+     "config.run.t_final.: expected a finite number"),
+    (lambda c: c["run"].update(solver={"rtol": math.nan}),
+     "config.run.solver.rtol.: expected a finite number, got nan"),
+    (lambda c: c["run"].update(solver={"atol": math.nan}),
+     "config.run.solver.atol.: expected a finite number"),
+    (lambda c: c["initial"]["soliton"].update(x0=-math.inf),
+     "config.initial.soliton.x0.: expected a finite number"),
+    (lambda c: c["effective"].update(g=10**400),
+     "config.effective.g.: expected a finite number"),
+    (lambda c: c.update(model="collective", grid={"domain_length": "x"},
+                        sites="many", boundary="moebius"),
+     "config.grid.: not read by the collective model"),
+    (lambda c: c.update(model="stable"),
+     "config.grid.: not read by the stable model"),
+    (lambda c: c.update(sites="many"),
+     "config.sites.: not read by the pcdnse model"),
+    (lambda c: c.update(boundary="moebius"),
+     "config.boundary.: not read by the pcdnse model"),
+    (lambda c: c.update(model="lattice", sites=16),
+     "config.grid.: not read by the lattice model"),
+    (lambda c: (c.pop("grid"), c.update(model="lattice", sites=15)),
+     "config.sites.: must be at least 16"),
 ])
 def test_normalize_config_rejects_malformed_input(mangle, message):
     cfg = pcdnse_config()
@@ -126,6 +151,75 @@ def test_a_section_that_is_not_an_object_is_a_config_error(section, value):
     parent[path[-1]] = value
     with pytest.raises(ConfigError, match=r"expected an object"):
         normalize_config(cfg)
+
+
+def stable_config():
+    return {
+        "model": "stable",
+        "effective": {"g": -0.1, "gamma": 0.05},
+        "initial": {"stable": {"n_particles": 2.0, "v": 0.5}},
+        "run": {"t_final": 1.0},
+    }
+
+
+@pytest.fixture(scope="module")
+def snapshot_400(tmp_path_factory):
+    """A 400-point field snapshot, the grid size of ``pcdnse_config``."""
+    coords = SolitonCoords(psi=1.0, x0=20.0, v=0.0, w=1.0, d=0.0, phi=0.0)
+    return str(write_field_csv(tmp_path_factory.mktemp("start") / "start.csv",
+                               make_soliton_field(coords, 40.0, 400)))
+
+
+_NEGATIVE = st.floats(max_value=-1e-12)
+_NON_POSITIVE = st.floats(max_value=0.0)
+_NON_NEGATIVE = st.floats(min_value=0.0)
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+# (config, key paths set to the drawn value, values that are all invalid)
+_VALUE_INVALID = [
+    (langevin_config, [("microscopic", "chi")], _NEGATIVE),
+    (langevin_config, [("microscopic", "kappa"), ("microscopic", "delta")],
+     st.just(0.0)),
+    (langevin_config, [("initial", "soliton", "psi")], _NEGATIVE),
+    (pcdnse_config, [("initial", "soliton", "w")], _NON_POSITIVE),
+    # the width is omitted: the stable width needs g < 0
+    (pcdnse_config, [("effective", "g")], _NON_NEGATIVE),
+    (stable_config, [("initial", "stable", "n_particles")], _NON_POSITIVE),
+    (stable_config, [("effective", "g")], _NON_NEGATIVE),
+    (pcdnse_config, [("initial",)],
+     st.just({"field_file": "/nonexistent/start.csv"})),
+    (pcdnse_config, [("grid", "n_points")],
+     st.integers(16, 1000).filter(lambda n: n != 400)),
+    *[(make, [path], _NON_FINITE) for make, path in (
+        (pcdnse_config, ("grid", "domain_length")),
+        (pcdnse_config, ("run", "t_final")),
+        (pcdnse_config, ("effective", "gamma")),
+        (pcdnse_config, ("initial", "soliton", "x0")),
+        (langevin_config, ("microscopic", "eta")),
+        (langevin_config, ("run", "solver", "rtol")),
+        (langevin_config, ("run", "solver", "atol")),
+        (stable_config, ("initial", "stable", "v")))],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_value_invalid_config_writes_nothing(data, tmp_path_factory,
+                                                snapshot_400):
+    make, paths, values = data.draw(st.sampled_from(_VALUE_INVALID))
+    value = data.draw(values)
+    cfg = make()
+    if paths == [("grid", "n_points")]:
+        # a grid size other than that of the start file
+        cfg["initial"] = {"field_file": snapshot_400}
+    for path in paths:
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    out_dir = tmp_path_factory.mktemp("rejected") / "out"
+    with pytest.raises(ConfigError, match=r"config\["):
+        run_simulation(cfg, out_dir)
+    assert not out_dir.exists()
 
 
 def test_normalize_config_lattice_needs_sites():

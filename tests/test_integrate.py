@@ -155,6 +155,10 @@ def test_problem_and_config_validation():
         SolverConfig(rtol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(atol=-1e-9)
+    for tolerances in ({"rtol": math.nan}, {"rtol": math.inf},
+                       {"atol": math.nan}, {"atol": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**tolerances)
     for bad in ([], [2.0, 1.0], [-1.0, 0.5], [0.5, 99.0]):
         with pytest.raises(ValueError):
             solve(OdeProblem(decay, 0.0, 1.0, np.array([1.0])),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -118,8 +119,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    threshold = args.residual_threshold
+    if not 0 < threshold < math.inf:    # NaN fails both comparisons
+        raise ConfigError(
+            f"--residual-threshold must be finite and > 0, got {threshold!r}")
     field = read_snapshot(args.input, "--input")
-    result = fit_soliton(field, residual_threshold=args.residual_threshold)
+    result = fit_soliton(field, residual_threshold=threshold)
     payload = {
         "psi": result.coords.psi, "x0": result.coords.x0,
         "v": result.coords.v, "w": result.coords.w, "d": result.coords.d,

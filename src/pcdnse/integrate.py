@@ -22,15 +22,21 @@ through T^-1 and measured with the same norm as without a linear part, so
 rtol and atol keep their meaning.
 
 Step-size selection uses a PI controller (safety factor 0.9, growth factor
-clamped to [0.2, 5]).  Requested snapshot times are hit exactly by clipping
-the step, never by interpolation, so recorded states are genuine solution
-points of the stepper.
+clamped to [0.2, 5]).  Requested snapshot times are recorded exactly.  A
+plain (not Lawson) tsit5 solve steps as its tolerance needs and records
+the snapshots inside a step from the pair's fourth-order continuous
+extension [4], so its steps do not depend on the number of snapshots; only
+the last snapshot is a step end point.  rkf78 and every Lawson solve clip
+the step at each snapshot instead, so their recorded states are genuine
+step points.
 
 References
 ----------
 [1] Ch. Tsitouras, Comput. Math. Appl. 62, 770 (2011).
 [2] E. Fehlberg, NASA TR R-287 (1968), Table X.
 [3] J. D. Lawson, SIAM J. Numer. Anal. 4, 372 (1967).
+[4] E. Hairer, S. P. Norsett, G. Wanner, Solving Ordinary Differential
+    Equations I, 2nd ed., Sec. II.6 (dense output).
 """
 
 from __future__ import annotations
@@ -117,7 +123,9 @@ class SolverConfig:
     """Method choice and accuracy targets for :func:`solve`.
 
     ``snapshot_times`` requests the recorded output grid; when ``None`` every
-    accepted step is recorded.  The local error is measured against
+    accepted step is recorded.  Plain tsit5 solves interpolate the
+    snapshots inside their steps, rkf78 and Lawson solves clip a step at
+    each (see the module docstring).  The local error is measured against
     ``atol + rtol * |y|`` componentwise (RMS norm).
     """
 
@@ -172,6 +180,9 @@ class _Tableau:
     e: np.ndarray          # error weights (propagated minus embedded)
     error_order: int       # order of the embedded (lower) solution
     fsal: bool
+    # Continuous extension b_i(theta) = sum_m dense[i, m-1] theta^m, m = 1..4,
+    # or None when the pair has none.
+    dense: np.ndarray | None = None
 
 
 def _tsitouras_5_4() -> _Tableau:
@@ -213,7 +224,19 @@ def _tsitouras_5_4() -> _Tableau:
         -0.45808210592918697,
         1.0 / 66.0,
     ])
-    return _Tableau(c=c, a=a, b=b, e=e, error_order=4, fsal=True)
+    # The fourth-order continuous extension published with the pair:
+    # b(1) = b, and the order conditions up to 4 hold for every theta.
+    dense = np.array([
+        [1.0, -2.763706197274826, 2.9132554618219126, -1.0530884977290216],
+        [0.0, 0.1317, -0.2234, 0.1017],
+        [0.0, 3.9302962368947516, -5.941033872131505, 2.490627285651253],
+        [0.0, -12.411077166933676, 30.33818863028232, -16.548102889244902],
+        [0.0, 37.50931341651104, -88.1789048947664, 47.37952196281928],
+        [0.0, -27.896526289197286, 65.09189467479366, -34.87065786149661],
+        [0.0, 1.5, -4.0, 2.5],
+    ])
+    return _Tableau(c=c, a=a, b=b, e=e, error_order=4, fsal=True,
+                    dense=dense)
 
 
 def _fehlberg_7_8() -> _Tableau:
@@ -340,6 +363,24 @@ class _Stages:
         self.stats.n_rhs += n_stages - 1
         return y + h * (tab.b @ k), h * (tab.e @ k)
 
+    def interpolate(self, y: np.ndarray, h: float, theta: np.ndarray
+                    ) -> np.ndarray:
+        """The states y(t + theta h) inside the step h just tried from
+        (t, y), one row per theta, from the tableau's continuous extension.
+
+        Call before accept(): first-same-as-last reuse overwrites k[0].
+        """
+        r, k = self.tab.dense, self.k
+        theta = theta[:, None]
+        w = r[:, 3] * theta                  # b_i(theta) by Horner's rule
+        for m in (2, 1, 0):
+            w = (w + r[:, m]) * theta
+        # Summed stage by stage, not with a BLAS product over k.
+        acc = w[:, :1] * k[0]
+        for i in range(1, len(k)):
+            acc += w[:, i:i + 1] * k[i]
+        return y + h * acc
+
     def accept(self) -> None:
         if self.tab.fsal:
             self.k[0] = self.k[-1]        # first-same-as-last stage reuse
@@ -417,7 +458,8 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
 
     With ``snapshot_times`` set, exactly those instants are recorded (they
     must lie in [t0, t1] and be strictly increasing); integration stops at
-    the last one.  Without them every accepted step is recorded, starting
+    the last one.  Only the first may stand for t0 when it lies within
+    1e-12 of it.  Without them every accepted step is recorded, starting
     at t0.  With ``problem.linear`` set, the steps are taken in Lawson
     form (see the module docstring).  Identical inputs produce
     bit-identical output.
@@ -466,10 +508,11 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
         record(t0, y)
         t_end = t1
     else:
-        tiny0 = 1e-12 * max(1.0, abs(t0))
-        while out_idx < len(snapshots) and snapshots[out_idx] <= t0 + tiny0:
+        # Only the first snapshot may stand for t0; later ones are reached
+        # by stepping, so each is recorded at its own time.
+        if snapshots[0] <= t0 + 1e-12 * max(1.0, abs(t0)):
             record(t0, y)
-            out_idx += 1
+            out_idx = 1
         t_end = float(snapshots[-1])
         if out_idx >= len(snapshots):
             return TimeSeries(np.array(rec_times), np.array(rec_states), stats)
@@ -480,6 +523,10 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
         stages = _Stages(tab, rhs, stats, y, f0)
     else:
         stages = _LawsonStages(tab, rhs, problem.linear, stats, y, f0)
+    # Plain steps of a pair with a continuous extension run free and
+    # interpolate the snapshots they pass; the others are clipped at each.
+    dense_output = (snapshots is not None and tab.dense is not None
+                    and problem.linear is None)
 
     exponent = 1.0 / (tab.error_order + 1)
     beta1 = 0.7 * exponent               # PI controller memory weights
@@ -501,8 +548,11 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
             raise StepUnderflowError(
                 f"step size {dt!r} underflowed at t={t!r}", stats)
 
-        # Clip to land exactly on the next requested output (or the end).
-        target = t_end if snapshots is None else float(snapshots[out_idx])
+        # Clip to land exactly on the next output a step must reach.
+        if snapshots is None or dense_output:
+            target = t_end
+        else:
+            target = float(snapshots[out_idx])
         h = dt
         clipped = False
         if t + h >= target - tiny:
@@ -521,15 +571,28 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
                 factor = min(fac_max, max(
                     fac_min, safety * err**(-beta1) * err_prev**beta2))
             err_prev = max(err, 1e-4)
+            if snapshots is None:
+                record(t_new, y_new)
+            elif dense_output:
+                # Snapshots in (t, t_new) come from the interpolant, one at
+                # t_new from the step itself.
+                stop = int(np.searchsorted(snapshots, t_new, side="right"))
+                hit = stop > out_idx and float(snapshots[stop - 1]) == t_new
+                inner = snapshots[out_idx:stop - 1 if hit else stop]
+                if len(inner):
+                    rec_times.extend(inner.tolist())
+                    rec_states.extend(
+                        stages.interpolate(y, h, (inner - t) / h))
+                if hit:
+                    record(t_new, y_new)
+                out_idx = stop
+            elif clipped:                 # a clipped solve's snapshot
+                record(t_new, y_new)
+                out_idx += 1
             t, y = t_new, y_new
             stages.accept()
-            if snapshots is None:
-                record(t, y)
-            elif clipped:
-                record(t, y)
-                out_idx += 1
-                if out_idx >= len(snapshots):
-                    break
+            if snapshots is not None and out_idx == len(snapshots):
+                break
             dt = h * factor
         else:
             # Rejection leaves (t, y) untouched: the first slope stays valid.

@@ -51,6 +51,18 @@ def test_simulate_runs_are_bit_identical(tmp_path):
     assert any(e["path"].startswith("snapshots/") for e in m1["files"])
 
 
+@pytest.mark.parametrize("model", ["pcdnse", "collective"])
+def test_simulate_records_snapshots_closer_than_the_t0_slack(tmp_path, model):
+    # 5e-14 apart: within 1e-12 of t0, yet each is a snapshot of its own
+    cfg = small_config(run={"t_final": 1e-13, "snapshots": 3})
+    if model == "collective":
+        cfg = {"model": "collective", "effective": cfg["effective"],
+               "initial": cfg["initial"], "run": cfg["run"]}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "manifest.json").exists()
+
+
 def test_simulate_solver_flags_reach_the_integrator(tmp_path):
     cfg = write_config(tmp_path, small_config())
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a"),
@@ -212,6 +224,20 @@ def test_fit_command_stdout_and_file(tmp_path, capsys):
     assert json.loads(out.read_text())["converged"]
 
     assert main(["fit", "--input", str(tmp_path / "none.csv")]) == 2
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
+def test_fit_rejects_a_threshold_that_is_not_finite_and_positive(
+        tmp_path, capsys, threshold):
+    snap = write_field_csv(tmp_path / "snap.csv", make_soliton_field(
+        SolitonCoords(psi=1.0, x0=20.0, v=0.0, w=1.0, d=0.0, phi=0.0),
+        40.0, 400))
+    assert main(["fit", "--input", str(snap),
+                 f"--residual-threshold={threshold}"]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "--residual-threshold" in captured.err
+    assert captured.out == ""
 
 
 def test_fit_featureless_snapshot_is_numerical_failure(tmp_path, capsys):

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcdnse.collective import SolitonCoords
+from pcdnse.collective import (
+    SolitonCoords,
+    make_collective_ode,
+    stable_soliton,
+)
 from pcdnse.integrate import (
     SOLVER_PRESETS,
     LinearPart,
@@ -21,6 +25,7 @@ from pcdnse.integrate import (
     solve,
     solve_fixed_grid,
     solver_preset,
+    _TABLEAUS,
 )
 from pcdnse.model_continuum import (
     dispersion_part,
@@ -99,6 +104,21 @@ def test_snapshots_need_not_reach_the_horizon():
     series = solve(OdeProblem(decay, 0.0, 10.0, np.array([1.0])),
                    SolverConfig(snapshot_times=[2.0, 3.0]))
     assert series.times[-1] == 3.0   # integration stops at the last snapshot
+
+
+@pytest.mark.parametrize("kind", ["tsit5", "lawson", "rkf78"])
+def test_snapshots_within_the_t0_slack_keep_their_own_times(kind):
+    requested = np.array([0.0, 1e-13, 2e-13])
+    y0 = np.array([1.0 + 0.5j, 0.2 - 0.1j])
+    linear = None
+    if kind == "lawson":
+        linear = LinearPart(np.array([0.5j, -1j]), lambda y: y, lambda y: y)
+    series = solve(OdeProblem(rotation, 0.0, 1.0, y0, linear=linear),
+                   SolverConfig(method="rkf78" if kind == "rkf78" else "tsit5",
+                                snapshot_times=requested))
+    assert np.array_equal(series.times, requested)
+    assert_allclose(series.states, y0 * np.exp(1j * requested)[:, None],
+                    rtol=1e-15)
 
 
 def test_solve_fixed_grid_spans_inclusive_range():
@@ -271,3 +291,123 @@ def test_lawson_agrees_with_a_tight_plain_solve():
     deviation = (np.max(np.abs(lawson.states - tight.states))
                  / np.max(np.abs(tight.states)))
     assert deviation < 5e-7
+
+
+# ---------------------------------------------------------------------------
+# continuous extension (dense output) of plain Tsit5 steps
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.37, 0.5, 0.9])
+def test_tsit5_continuous_extension_meets_the_order_conditions(theta):
+    tab = _TABLEAUS["tsit5"]
+    assert_allclose(tab.dense.sum(axis=1), tab.b, rtol=0, atol=1e-14)
+    b = tab.dense @ theta ** np.arange(1, 5)          # b_i(theta)
+    a, c = tab.a, tab.c
+    conditions = [
+        (b.sum(), theta),
+        (b @ c, theta**2 / 2),
+        (b @ c**2, theta**3 / 3),
+        (b @ (a @ c), theta**3 / 6),
+        (b @ c**3, theta**4 / 4),
+        (b @ (c * (a @ c)), theta**4 / 8),
+        (b @ (a @ c**2), theta**4 / 12),
+        (b @ (a @ (a @ c)), theta**4 / 24),
+    ]
+    for got, want in conditions:
+        assert abs(got - want) < 1e-14
+
+
+def fig5_collective_problem(delta):
+    """fig5's long collective run: a stable soliton's amplitude kicked by
+    delta, over Jt = 2e4 (see experiments._fig5_single_delta)."""
+    eff = EffectiveParams(g=-0.1, gamma=0.1, hopping=1.0)
+    ss = stable_soliton(1.0, eff)
+    psi0 = (1.0 + delta) * ss.amplitude
+    w0 = ss.particle_number / (2.0 * psi0**2)
+    domain = 10.0 * max(ss.width, w0)
+    coords = SolitonCoords(psi=psi0, x0=domain / 2.0, v=0.0, w=w0, d=0.0,
+                           phi=0.0)
+    return OdeProblem(make_collective_ode(eff), 0.0, 2e4, coords.to_array())
+
+
+FIG5_TIMES = np.arange(0.0, 2e4 + 1e-9, 5.0)
+
+
+def test_plain_tsit5_steps_do_not_depend_on_the_snapshots():
+    # Measured: 133 accepted steps and 800 RHS calls either way; clipped at
+    # every snapshot the run took 4003 steps and 24 020 calls.
+    problem = fig5_collective_problem(0.01)
+    dense = solve(problem, solver_preset("collective",
+                                         snapshot_times=FIG5_TIMES))
+    ends = solve(problem, solver_preset("collective",
+                                        snapshot_times=[0.0, 2e4]))
+    assert np.array_equal(dense.times, FIG5_TIMES)
+    assert dense.stats == ends.stats
+    assert dense.stats.n_accepted < 200
+    assert np.array_equal(dense.states[-1], ends.states[-1])
+
+
+@pytest.mark.parametrize("delta", [-0.1, 0.01])
+def test_interpolated_collective_run_matches_a_tight_reference(delta):
+    # Measured: 1.3e-10 at delta = -0.1 and 4.1e-11 at delta = 0.01.
+    problem = fig5_collective_problem(delta)
+    config = solver_preset("collective", snapshot_times=FIG5_TIMES)
+    series = solve(problem, config)
+    assert series.stats.n_accepted < 250       # 4001 snapshots interpolated
+    reference = solve(problem, replace(config, rtol=1e-13, atol=1e-13))
+    deviation = series.states.real[:, 0] - reference.states.real[:, 0]
+    assert np.max(np.abs(deviation)) < config.atol
+
+
+def test_interpolated_snapshots_are_as_accurate_as_the_steps():
+    # y' = i y against exp(i t): 206 steps record 401 snapshots.  Measured
+    # at rtol = atol = 1e-8: 8.8e-9 at the step points, 9.1e-9 between.
+    y0 = np.array([1.0 + 0.0j, 0.3 - 0.4j])
+    problem = OdeProblem(rotation, 0.0, 20.0, y0)
+    config = SolverConfig(rtol=1e-8, atol=1e-8)
+    steps = solve(problem, config)
+    times = np.linspace(0.0, 20.0, 401)
+    dense = solve(problem, replace(config, snapshot_times=times))
+    assert dense.stats == steps.stats
+    assert dense.stats.n_accepted < len(times) / 1.5
+
+    def error(series):
+        exact = np.exp(1j * series.times)[:, None] * y0
+        return np.max(np.abs(series.states - exact))
+
+    assert error(dense) < 1.5 * error(steps)
+    assert error(dense) < 2e-8
+
+
+@pytest.mark.parametrize("kind", ["rkf78", "lawson"])
+def test_clipped_solves_still_record_genuine_step_points(kind):
+    field, eff = small_field(-0.1, 0.05, 32.0, 64)
+    linear = dispersion_part(field, eff) if kind == "lawson" else None
+    method = "rkf78" if kind == "rkf78" else "tsit5"
+    problem = OdeProblem(make_pcdnse_ode(field, eff), 0.0, 2.0, field.psi,
+                         linear=linear)
+    both = solve(problem, SolverConfig(method=method,
+                                       snapshot_times=[0.0, 0.7, 2.0]))
+    first = solve(problem, SolverConfig(method=method,
+                                        snapshot_times=[0.0, 0.7]))
+    assert np.array_equal(both.states[1], first.states[-1])
+
+
+def test_plain_tsit5_calls_rhs_once_per_counted_evaluation():
+    field, eff = small_field(-0.1, 0.05, 32.0, 64)
+    flow = make_pcdnse_ode(field, eff)
+    calls = []
+
+    def kicked(t, y):
+        # a sharp phase kick at t = 1 forces rejected trial steps
+        calls.append(t)
+        return flow(t, y) + 20j * math.exp(-2000.0 * (t - 1.0) ** 2) * y
+
+    times = np.linspace(0.0, 2.0, 801)                  # interpolated
+    series = solve(OdeProblem(kicked, 0.0, 2.0, field.psi),
+                   SolverConfig(rtol=1e-10, atol=1e-12,
+                                snapshot_times=times))
+    assert np.array_equal(series.times, times)
+    assert series.stats.n_rejected >= 1
+    assert series.stats.n_accepted < len(times)
+    assert len(calls) == series.stats.n_rhs

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import io
-from .analysis import NoPeakError, fit_soliton
+from .analysis import FIT_RESIDUAL_THRESHOLD, NoPeakError, fit_soliton
 from .collective import WidthCollapseError
 from .experiments import (
     EXPERIMENTS,
@@ -188,7 +188,7 @@ def _parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", help="write the fit as JSON here instead of "
                                      "stdout")
     p_fit.add_argument("--residual-threshold", dest="residual_threshold",
-                       type=float, default=1e-3)
+                       type=float, default=FIT_RESIDUAL_THRESHOLD)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_exp = sub.add_parser("experiment", help="run a canned experiment")

@@ -36,6 +36,7 @@ from .collective import (
     ansatz_energy,
     make_collective_ode,
     make_stable_ode,
+    stable_closed_form,
     stable_soliton,
 )
 from .integrate import (
@@ -141,7 +142,9 @@ def _get_int(cfg: Mapping, key: str, path: str, default=None,
             raise ConfigError(f"config[{path}.{key}]: missing required key")
         return default
     value = cfg[key]
-    _expect(isinstance(value, int) and not isinstance(value, bool),
+    # JSON has one number type, so 400.0 is the integer 400
+    _expect((isinstance(value, int) and not isinstance(value, bool))
+            or (isinstance(value, float) and value.is_integer()),
             f"{path}.{key}", f"expected an integer, got {value!r}")
     return int(value)
 
@@ -277,7 +280,8 @@ def normalize_config(config: Mapping) -> dict:
     _check_keys(solver_cfg, {"preset", "method", "rtol", "atol", "max_steps"},
                 "run.solver")
     preset = solver_cfg.get("preset", _DEFAULT_SOLVER_PRESET[model])
-    _expect(preset in SOLVER_PRESETS, "run.solver.preset",
+    _expect(isinstance(preset, str) and preset in SOLVER_PRESETS,
+            "run.solver.preset",
             f"unknown preset {preset!r}; choose from {sorted(SOLVER_PRESETS)}")
     base = SOLVER_PRESETS[preset]
     method = solver_cfg.get("method", base.method)
@@ -333,10 +337,12 @@ def normalize_sweep_config(section) -> dict:
     _check_keys(section, {*_SWEEP_NUMBERS, "num", "directory"}, path)
     for key in _SWEEP_NUMBERS:
         _get_number(section, key, path)
-    _get_int(section, "num", path)
     _expect(isinstance(section.get("directory", ""), str),
             f"{path}.directory", "expected a path string")
-    return dict(section)
+    out = dict(section)
+    if "num" in out:
+        out["num"] = _get_int(section, "num", path)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +508,14 @@ def _start_state(cfg: Mapping, eff: EffectiveParams, kind: str, spec
                               else n_points - 1)
     if kind == "field_file":
         field = read_snapshot(spec, "config[initial.field_file]")
-        if field.n_points != n_points:
-            raise ValueError(f"grid size {field.n_points} does not match "
-                             f"configured {n_points}")
-        return FieldState(field.psi, domain_length, boundary)
+        # %.17g round-trips, so a snapshot of this very grid matches exactly
+        grid = (field.n_points, field.domain_length, field.boundary)
+        if grid != (n_points, domain_length, boundary):
+            raise ValueError(
+                f"snapshot grid (n_points, domain_length, boundary) {grid} "
+                f"does not match configured "
+                f"{(n_points, domain_length, boundary)}")
+        return field
     return make_soliton_field(coords, domain_length, n_points, boundary)
 
 
@@ -874,7 +884,7 @@ def _fig4_single_gamma(gamma: float) -> dict:
     field0 = make_soliton_field(coords, 600.0, 6000, PERIODIC,
                                 containment_tol=1e-6)
     n = particle_number(field0)
-    predicted = eff.gamma * (-(g) ** 3) * n**4 / 240.0
+    predicted = stable_soliton(n, eff).damping_rate
 
     times = np.linspace(0.0, 4.0, 9)
     preset = "pcdnse_tight" if tight else "pcdnse"
@@ -942,8 +952,8 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool) -> dict:
 
     # Short field run: does the perturbed soliton keep its shape?
     t_short = 500.0
-    fit_stride = 25.0
-    times = np.arange(0.0, t_short + 1e-9, 2.5)
+    step, fit_stride = 2.5, 25.0
+    times = np.arange(0.0, t_short + 1e-9, step)
     series = solve(_field_problem(field0, eff, t_short),
                    solver_preset("pcdnse", snapshot_times=times))
     peak_series = np.max(np.abs(series.states), axis=1)
@@ -954,9 +964,7 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool) -> dict:
     # entirely (NoPeakError once it dissolves into the background).
     breakup_time = None
     residuals = []
-    fit_mask = np.isclose(series.times % fit_stride, 0.0, atol=1e-6) \
-        | np.isclose(series.times % fit_stride, fit_stride, atol=1e-6)
-    for idx in np.where(fit_mask)[0]:
+    for idx in range(0, len(series.times), round(fit_stride / step)):
         try:
             fit = fit_soliton(field0.with_psi(series.states[idx]),
                               residual_threshold=1e-2)
@@ -1095,9 +1103,8 @@ def _fig6_single_gamma(gamma: float) -> dict:
                       for s in series.states])
 
     # Separated prediction: two independent stable solitons, each damping.
-    n_single = 2.0 * psi0**2 * w0
-    ss = stable_soliton(n_single, eff)
-    v_t = v0 * np.exp(-ss.damping_rate * eff.hopping * series.times)
+    ss = stable_soliton(left.particle_number, eff)
+    _, v_t, _ = stable_closed_form(series.times, 0.0, v0, 0.0, ss)
     e_single = np.array([ss.energy(v) for v in v_t])
     ratio = e_two / (2.0 * e_single)
 

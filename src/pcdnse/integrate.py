@@ -22,13 +22,14 @@ through T^-1 and measured with the same norm as without a linear part, so
 rtol and atol keep their meaning.
 
 Step-size selection uses a PI controller (safety factor 0.9, growth factor
-clamped to [0.2, 5]).  Requested snapshot times are recorded exactly.  A
-plain (not Lawson) tsit5 solve steps as its tolerance needs and records
-the snapshots inside a step from the pair's fourth-order continuous
-extension [4], so its steps do not depend on the number of snapshots; only
-the last snapshot is a step end point.  rkf78 and every Lawson solve clip
-the step at each snapshot instead, so their recorded states are genuine
-step points.
+clamped to [0.2, 5]).  Requested snapshot times are recorded exactly: an
+accepted step from t to t_new records every snapshot in (t, t_new], those
+strictly inside from the pair's continuous extension [4] and one at t_new
+from the step itself.  Solves differ only in whether a step is clipped at
+the next snapshot.  Plain (not Lawson) tsit5 steps are not, so they follow
+the tolerance whatever the number of snapshots.  rkf78, which has no
+continuous extension, and Lawson steps are, so what they record are
+genuine step points.
 
 References
 ----------
@@ -123,10 +124,10 @@ class SolverConfig:
     """Method choice and accuracy targets for :func:`solve`.
 
     ``snapshot_times`` requests the recorded output grid; when ``None`` every
-    accepted step is recorded.  Plain tsit5 solves interpolate the
-    snapshots inside their steps, rkf78 and Lawson solves clip a step at
-    each (see the module docstring).  The local error is measured against
-    ``atol + rtol * |y|`` componentwise (RMS norm).
+    accepted step is recorded.  rkf78 and Lawson solves clip a step at each
+    snapshot; plain tsit5 solves do not, and interpolate the snapshots
+    inside their steps (see the module docstring).  The local error is
+    measured against ``atol + rtol * |y|`` componentwise (RMS norm).
     """
 
     method: str = "tsit5"
@@ -136,7 +137,9 @@ class SolverConfig:
     snapshot_times: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in _METHOD_ALIASES:
+        # a list or dict is no method name, and is unhashable
+        if not (isinstance(self.method, str)
+                and self.method in _METHOD_ALIASES):
             raise ValueError(
                 f"unknown method {self.method!r}; "
                 f"choose from {sorted(set(_METHOD_ALIASES))}"
@@ -523,8 +526,8 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
         stages = _Stages(tab, rhs, stats, y, f0)
     else:
         stages = _LawsonStages(tab, rhs, problem.linear, stats, y, f0)
-    # Plain steps of a pair with a continuous extension run free and
-    # interpolate the snapshots they pass; the others are clipped at each.
+    # The one choice per solve: plain steps of a pair with a continuous
+    # extension run free, the others are clipped at each snapshot.
     dense_output = (snapshots is not None and tab.dense is not None
                     and problem.linear is None)
 
@@ -573,7 +576,7 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
             err_prev = max(err, 1e-4)
             if snapshots is None:
                 record(t_new, y_new)
-            elif dense_output:
+            else:
                 # Snapshots in (t, t_new) come from the interpolant, one at
                 # t_new from the step itself.
                 stop = int(np.searchsorted(snapshots, t_new, side="right"))
@@ -586,13 +589,8 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
                 if hit:
                     record(t_new, y_new)
                 out_idx = stop
-            elif clipped:                 # a clipped solve's snapshot
-                record(t_new, y_new)
-                out_idx += 1
             t, y = t_new, y_new
             stages.accept()
-            if snapshots is not None and out_idx == len(snapshots):
-                break
             dt = h * factor
         else:
             # Rejection leaves (t, y) untouched: the first slope stays valid.

@@ -128,12 +128,16 @@ def _bad_row(rows: list[str], line_numbers: list[int]) -> str | None:
 def read_field_csv(path: str | Path) -> FieldState:
     """Read a snapshot written by :func:`write_field_csv`.
 
-    A malformed data row raises ``ValueError`` naming its line in the file.
+    One header row (a line that starts with a letter or a quote) may come
+    before the data; any other line that is not a ``#`` comment is a data
+    row.  A malformed data row raises ``ValueError`` naming its line in the
+    file.
     """
     path = Path(path)
     meta: dict[str, str] = {}
     rows: list[str] = []
     line_numbers: list[int] = []
+    header_seen = False
     with path.open() as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -142,8 +146,9 @@ def read_field_csv(path: str | Path) -> FieldState:
             if line.startswith("#"):
                 key, _, value = line.lstrip("# ").partition("=")
                 meta[key.strip()] = value.strip()
-            elif line[0].isalpha() or line.startswith('"'):
-                continue  # header row
+            elif (not header_seen and not rows
+                  and (line[0].isalpha() or line.startswith('"'))):
+                header_seen = True
             else:
                 rows.append(line)
                 line_numbers.append(number)

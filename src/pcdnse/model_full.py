@@ -33,12 +33,7 @@ import scipy.fft
 
 from .integrate import LinearPart, TimeSeries
 from .model_effective import _neighbour_sum
-from .params import (
-    PERIODIC,
-    ChainParams,
-    DegenerateDenominatorError,
-    ReservoirParams,
-)
+from .params import PERIODIC, ChainParams, ReservoirParams
 
 __all__ = [
     "steady_state_cavities",
@@ -50,11 +45,8 @@ __all__ = [
 
 def steady_state_cavities(res: ReservoirParams, sites: int) -> np.ndarray:
     """Cavity amplitudes with undisturbed sites: eta / (kappa/2 - i delta)."""
-    denom = res.kappa / 2.0 - 1j * res.delta
-    if denom == 0:
-        raise DegenerateDenominatorError(
-            "kappa and delta both vanish; no cavity steady state")
-    return np.full(sites, res.eta / denom, dtype=complex)
+    return np.full(sites, res.eta / (res.kappa / 2.0 - 1j * res.delta),
+                   dtype=complex)
 
 
 def make_full_ode(res: ReservoirParams,
@@ -120,11 +112,7 @@ def rotating_frame_to_effective(series: TimeSeries, res: ReservoirParams,
     occupations are unchanged, so cross-model occupation comparisons may use
     either frame.
     """
-    den = res.delta**2 + res.kappa**2 / 4.0
-    if den == 0:
-        raise DegenerateDenominatorError(
-            "kappa and delta both vanish; rotating frame undefined")
-    shift = res.chi * res.eta**2 / den
+    shift = res.chi * res.eta**2 / (res.delta**2 + res.kappa**2 / 4.0)
     states = np.asarray(series.states)
     if states.ndim != 2 or states.shape[1] % 2:
         raise ValueError("series must hold packed full states")

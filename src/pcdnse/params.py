@@ -65,6 +65,13 @@ class ReservoirParams:
     delta : float
         Drive detuning from cavity resonance.  Negative (red) detuning
         produces positive effective dissipation.
+
+    Raises
+    ------
+    DegenerateDenominatorError
+        If kappa**2/4 + delta**2 is zero (kappa = delta = 0, or both so
+        small that their squares underflow): the cavity response is
+        singular.
     """
 
     chi: float
@@ -81,6 +88,9 @@ class ReservoirParams:
             raise ValueError("eta must be non-negative")
         if self.kappa < 0:
             raise ValueError("kappa must be non-negative")
+        if self.delta**2 + self.kappa**2 / 4.0 == 0.0:
+            raise DegenerateDenominatorError(
+                "kappa and delta both vanish; cavity response is singular")
 
 
 @dataclass(frozen=True)
@@ -136,17 +146,8 @@ def effective_params(res: ReservoirParams, chain: ChainParams) -> EffectiveParam
         gamma = -4 chi**2 eta**2 delta kappa / (delta**2 + kappa**2/4)**3
 
     so the net nonlinearity is g = anharmonicity + delta_g.
-
-    Raises
-    ------
-    DegenerateDenominatorError
-        If kappa = delta = 0, where the cavity response is singular.
     """
     den = res.delta**2 + res.kappa**2 / 4.0
-    if den == 0.0:
-        raise DegenerateDenominatorError(
-            "kappa and delta both vanish; cavity response is singular"
-        )
     chi2_eta2 = res.chi**2 * res.eta**2
     delta_g = 2.0 * chi2_eta2 * res.delta / den**2
     gamma = -4.0 * chi2_eta2 * res.delta * res.kappa / den**3
@@ -221,10 +222,6 @@ def weak_coupling_ratios(
     if b_max < 0:
         raise ValueError("b_max must be non-negative")
     scale = math.hypot(res.delta, res.kappa / 2.0)
-    if scale == 0.0:
-        raise DegenerateDenominatorError(
-            "kappa and delta both vanish; weak-coupling scale undefined"
-        )
     r1 = res.chi * b_max**2 / scale
     r2 = res.chi * chain.hopping * b_max**2 / scale**2
     return r1, r2

@@ -132,6 +132,10 @@ _INF, _NAN = float("inf"), float("nan")
     pytest.param({"effective": None, "microscopic": {
         **_MICROSCOPIC, "kappa": 0.0, "delta": 0.0}}, [],
                  id="kappa_delta_zero"),
+    pytest.param({"model": "langevin", "grid": None, "sites": 400,
+                  "effective": None, "microscopic": {
+                      **_MICROSCOPIC, "kappa": 0.0, "delta": 0.0}}, [],
+                 id="langevin_kappa_delta_zero"),
     pytest.param({"initial": {"soliton": {"psi": -1.0, "x0": 20.0,
                                           "w": 1.0}}}, [], id="psi_negative"),
     pytest.param({"initial": {"soliton": {"psi": 1.0, "x0": 20.0,
@@ -267,6 +271,9 @@ MALFORMED_SNAPSHOTS = {
         t, lambda row: row.split(",")[0] + ",abc,0")),
     "non_numeric_x": (".csv", lambda t: _edit_row(
         t, lambda row: "1x," + row.split(",", 1)[1])),
+    # a row that starts with a letter is a header only before the data
+    "header_row_after_data": (".csv", lambda t: _edit_row(
+        t, lambda row: "nan_is_not_x,0.1,0.2")),
     "json_missing_key": (".json", lambda t: json.dumps(
         {k: v for k, v in json.loads(t).items() if k != "re_psi"})),
     "invalid_json": (".json", lambda t: t[: len(t) // 2]),
@@ -296,6 +303,60 @@ def test_malformed_snapshot_is_a_configuration_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "configuration error" in err and str(snap) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", [
+    {"domain_length": 80.0, "n_points": 400},
+    {"domain_length": 40.0, "n_points": 400, "boundary": "open"},
+])
+def test_simulate_rejects_a_field_file_of_another_grid(tmp_path, capsys,
+                                                       grid):
+    # a periodic L = 40 snapshot must not be stretched or re-bounded
+    snap = write_field_csv(tmp_path / "snap.csv", make_soliton_field(
+        SolitonCoords(psi=1.0, x0=20.0, v=0.1, w=1.0, d=0.0, phi=0.3),
+        40.0, 400))
+    cfg = write_config(tmp_path, small_config(
+        grid=grid, initial={"field_file": str(snap)}))
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config[initial.field_file]" in err and "does not match" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["pcdnse", "lattice"])
+def test_simulate_restarts_from_a_snapshot_of_its_own_grid(tmp_path, model):
+    cfg = small_config(grid={"domain_length": 40.0, "n_points": 400,
+                             "boundary": "open"}, output={"field_files": 2})
+    if model == "lattice":
+        cfg = {"model": "lattice", "effective": {"g": -0.1, "gamma": 0.05},
+               "sites": 64, "boundary": "open",
+               "initial": {"soliton": {"psi": 1.0, "x0": 32.0, "w": 3.0}},
+               "run": cfg["run"], "output": cfg["output"]}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "first")]) == 0
+    last = sorted((tmp_path / "first" / "snapshots").glob("*.csv"))[-1]
+    cfg["initial"] = {"field_file": str(last)}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "restart")]) == 0
+    assert (tmp_path / "restart" / "manifest.json").exists()
+
+
+def test_params_rejects_a_degenerate_reservoir(tmp_path, capsys):
+    # the default sweep passes delta = 0
+    out = tmp_path / "p"
+    assert main(["params", "--kappa", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "params sweep: kappa and delta both vanish" in err
+    assert not out.exists()
+
+
+def test_params_config_takes_an_integral_float_count(tmp_path):
+    path = write_config(tmp_path, {"params_sweep": {"num": 11.0}})
+    assert main(["params", "--config", path,
+                 "--out", str(tmp_path / "p")]) == 0
+    report = json.loads((tmp_path / "p" / "report.json").read_text())
+    assert report["sweep_points"] == 11
 
 
 def test_fit_names_the_line_of_a_short_row(tmp_path, capsys):

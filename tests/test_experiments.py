@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +246,175 @@ def test_normalize_config_langevin_needs_microscopic():
     }
     with pytest.raises(ConfigError, match="microscopic"):
         normalize_config(cfg)
+
+
+def test_integral_floats_are_integers():
+    # JSON has one number type: 400.0 is the integer 400, 400.5 is not
+    cfg = pcdnse_config(grid={"domain_length": 40.0, "n_points": 400.0},
+                        run={"t_final": 1.0, "snapshots": 5.0,
+                             "solver": {"max_steps": 1e4}},
+                        output={"field_files": 2.0})
+    echoed = normalize_config(cfg)
+    assert json.dumps(echoed) == json.dumps(normalize_config(pcdnse_config(
+        run={"t_final": 1.0, "snapshots": 5,
+             "solver": {"max_steps": 10000}},
+        output={"field_files": 2})))
+    for bad in (400.5, math.inf, math.nan, True):
+        cfg["grid"]["n_points"] = bad
+        with pytest.raises(ConfigError, match="expected an integer"):
+            normalize_config(cfg)
+
+
+# ---------------------------------------------------------------------------
+# docs/config_schema.json accepts exactly the configs normalize_config does,
+# except for the rules the schema states only in prose.  A config that
+# breaks one of those must still be rejected by normalize_config:
+# - exactly one of 'microscopic' and 'effective';
+# - the langevin model needs 'microscopic';
+# - 'grid' is read by the pcdnse model only, 'sites' and 'boundary' by the
+#   lattice and langevin models only, and each reader needs its key;
+# - the stable model starts from 'initial.stable';
+# - 'initial.field_file' applies to the field models only.
+# Non-finite numbers are not JSON, and JSON numbers beyond the range of a
+# double have no float to parse into, so neither is drawn.
+
+_SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
+
+
+def _full_field_config():
+    return pcdnse_config(
+        grid={"domain_length": 40.0, "n_points": 400, "boundary": "open"},
+        initial={"soliton": {"psi": 1.0, "x0": 20.0, "v": 0.1, "w": None,
+                             "d": 0.0, "phi": 0.0}},
+        run={"t_final": 1.0, "snapshots": 5, "solver": {
+            "preset": "pcdnse", "method": "rk45_tsitouras", "rtol": 1e-6,
+            "atol": 0.0, "max_steps": 100}},
+        output={"directory": "out/run", "formats": ["csv", "json"],
+                "field_files": 2})
+
+
+def _lattice_config():
+    return {"model": "lattice", "effective": {"g": -0.1, "gamma": 0.05,
+                                              "delta_g": 0.0, "hopping": 1.0},
+            "sites": 32, "boundary": "periodic",
+            "initial": {"field_file": "start.csv"},
+            "run": {"t_final": 1.0, "solver": {"method": "rk_high_order"}}}
+
+
+_SCHEMA_CONFIGS = [pcdnse_config, langevin_config, stable_config,
+                   _full_field_config, _lattice_config]
+_WORDS = [*experiments.MODELS, "periodic", "open", "csv", "json", "yaml",
+          "tsit5", "rkf78", "rk45_tsitouras", "rk_high_order", "euler",
+          "pcdnse_tight", "two_soliton", "", "x"]
+# each bound of the schema, on both sides, and a value of every JSON type
+_CATALOGUE = [None, True, False, -1, 0, 1, 2, 15, 16, -1e-9, 0.0, 0.5, 2.5,
+              16.0, 400.0, *_WORDS, [], {}, ["csv"], ["csv", 1]]
+_JSON_VALUES = st.one_of(
+    st.sampled_from(_CATALOGUE), st.integers(-10**6, 10**6),
+    st.floats(-1e6, 1e6, allow_nan=False), st.text(max_size=6),
+    st.lists(st.sampled_from(_WORDS), max_size=2))
+
+
+def _paths(node, prefix=()):
+    """The path of every member and list item inside a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _mutant(make, kind: str, path: tuple, value=None) -> dict:
+    """``make()`` with one member dropped, added as ``unknown_key`` to the
+    object at ``path``, or set to ``value``."""
+    cfg = make()
+    if kind == "add":
+        _at(cfg, path)["unknown_key"] = value
+    elif kind == "drop":
+        del _at(cfg, path[:-1])[path[-1]]
+    else:
+        _at(cfg, path[:-1])[path[-1]] = value
+    return cfg
+
+
+def _breaks_a_prose_rule(cfg) -> bool:
+    model = cfg.get("model")
+    if model not in experiments.MODELS:
+        return False
+    lattice = model in ("lattice", "langevin")
+    initial = cfg.get("initial")
+    starts = initial if isinstance(initial, dict) else {}
+    return (("microscopic" in cfg) == ("effective" in cfg)
+            or (model == "langevin" and "microscopic" not in cfg)
+            or ("grid" in cfg) != (model == "pcdnse")
+            or ("sites" in cfg) != lattice
+            or ("boundary" in cfg and not lattice)
+            or (model == "stable" and "stable" not in starts)
+            or ("field_file" in starts
+                and model not in ("pcdnse", "lattice", "langevin")))
+
+
+@pytest.fixture(scope="module")
+def schema_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    return jsonschema.Draft202012Validator(
+        json.loads(_SCHEMA_PATH.read_text()))
+
+
+def _assert_schema_agrees(validator, cfg) -> None:
+    try:
+        normalize_config(copy.deepcopy(cfg))
+        accepted = True
+    except ConfigError:
+        accepted = False
+    if _breaks_a_prose_rule(cfg):
+        assert not accepted, cfg
+    else:
+        assert validator.is_valid(cfg) == accepted, cfg
+
+
+def test_schema_accepts_the_test_configs(schema_validator):
+    for make in _SCHEMA_CONFIGS:
+        assert schema_validator.is_valid(make()) and normalize_config(make())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_schema_accepts_exactly_what_normalize_config_accepts(
+        data, schema_validator):
+    make = data.draw(st.sampled_from(_SCHEMA_CONFIGS))
+    kind = data.draw(st.sampled_from(["drop", "add", "set"]))
+    paths = list(_paths(make()))
+    if kind == "add":
+        paths = [()] + [p for p in paths if isinstance(_at(make(), p), dict)]
+    path = data.draw(st.sampled_from(paths))
+    value = None if kind == "drop" else data.draw(_JSON_VALUES)
+    _assert_schema_agrees(schema_validator, _mutant(make, kind, path, value))
+
+
+def test_schema_agrees_on_every_catalogued_mutation(schema_validator):
+    # the same property, swept over every member and catalogue value, so
+    # that no bound or enum depends on what the random draw hits
+    for make in _SCHEMA_CONFIGS:
+        _assert_schema_agrees(schema_validator, _mutant(make, "add", (), 0))
+        for path in _paths(make()):
+            _assert_schema_agrees(schema_validator, _mutant(make, "drop", path))
+            if isinstance(_at(make(), path), dict):
+                _assert_schema_agrees(schema_validator,
+                                      _mutant(make, "add", path, 0))
+            for value in _CATALOGUE:
+                _assert_schema_agrees(schema_validator,
+                                      _mutant(make, "set", path, value))
 
 
 def test_run_simulation_pcdnse_writes_everything(tmp_path):

@@ -69,6 +69,21 @@ def test_malformed_csv_row_is_named_by_its_line(tmp_path, edit, message):
     assert "usecols" not in str(info.value)
 
 
+@pytest.mark.parametrize("line, text", [
+    (11, "nan_is_not_x,0.1,0.2"),      # a header row after the data
+    (5, "x,re_psi,im_psi"),            # a second header row
+])
+def test_csv_header_row_only_before_the_data(tmp_path, line, text):
+    path = write_field_csv(tmp_path / "field.csv",
+                           FieldState(np.ones(16, dtype=complex), 16.0),
+                           meta={"t": "0"})
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line - 1] = text + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        read_field_csv(path)
+
+
 def test_field_csv_requires_domain_length(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,re_psi,im_psi\n0,1,0\n1,0,1\n")

@@ -60,9 +60,17 @@ def test_zero_coupling_leaves_bare_chain():
 
 
 def test_degenerate_cavity_response_rejected():
-    res = ReservoirParams(chi=0.1, eta=1.0, kappa=0.0, delta=0.0)
     with pytest.raises(DegenerateDenominatorError):
+        res = ReservoirParams(chi=0.1, eta=1.0, kappa=0.0, delta=0.0)
         effective_params(res, chain())
+
+
+@pytest.mark.parametrize("kappa, delta", [(0.0, 0.0), (0.0, -1e-200),
+                                          (1e-170, 1e-170)])
+def test_degenerate_reservoir_is_rejected_when_built(kappa, delta):
+    # kappa**2/4 + delta**2 underflows to zero in the last two
+    with pytest.raises(DegenerateDenominatorError, match="singular"):
+        ReservoirParams(chi=0.1, eta=1.0, kappa=kappa, delta=delta)
 
 
 @given(chi=st.floats(1e-3, 1.0), eta=st.floats(0.1, 3.0),

@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,9 +38,15 @@ from .collective import (
     stable_closed_form,
     stable_soliton,
 )
+# re-exported: callers import the config names from this module too
+from .config import (
+    MODELS,
+    ConfigError,
+    normalize_config,
+    normalize_sweep_config,
+)
 from .integrate import (
     OdeProblem,
-    SOLVER_PRESETS,
     SolverConfig,
     TimeSeries,
     solve,
@@ -64,7 +69,6 @@ from .model_full import (
     steady_state_cavities,
 )
 from .params import (
-    OPEN,
     PERIODIC,
     WEAK_COUPLING_ADVISORY,
     ChainParams,
@@ -87,20 +91,6 @@ __all__ = [
     "EXPERIMENTS",
 ]
 
-MODELS = ("pcdnse", "lattice", "langevin", "collective", "stable")
-
-_DEFAULT_SOLVER_PRESET = {
-    "pcdnse": "pcdnse",
-    "lattice": "pcdnse",
-    "langevin": "langevin",
-    "collective": "collective",
-    "stable": "collective",
-}
-
-
-class ConfigError(ValueError):
-    """A configuration file is malformed or inconsistent."""
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -110,239 +100,6 @@ class ExperimentConfig:
     out_dir: Path
     full: bool = False  # fig3a and fig5 only
     threads: int = 1  # must be 1: sub-runs run in order
-
-
-# ---------------------------------------------------------------------------
-# configuration handling
-
-
-def _expect(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"config[{path}]: {message}")
-
-
-def _get_number(cfg: Mapping, key: str, path: str, default=None,
-                required: bool = False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"config[{path}.{key}]: missing required key")
-        return default
-    value = cfg[key]
-    # NaN fails the comparison, as does an int too large for a float
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max,
-            f"{path}.{key}", f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _get_int(cfg: Mapping, key: str, path: str, default=None,
-             required: bool = False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"config[{path}.{key}]: missing required key")
-        return default
-    value = cfg[key]
-    # JSON has one number type, so 400.0 is the integer 400
-    _expect((isinstance(value, int) and not isinstance(value, bool))
-            or (isinstance(value, float) and value.is_integer()),
-            f"{path}.{key}", f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _check_keys(cfg, allowed: set[str], path: str) -> None:
-    _expect(isinstance(cfg, Mapping), path, f"expected an object, got {cfg!r}")
-    unknown = set(cfg) - allowed
-    _expect(not unknown, path, f"unknown keys {sorted(unknown)}")
-
-
-def normalize_config(config: Mapping) -> dict:
-    """Validate a run configuration and fill in every default.
-
-    Returns the fully-explicit config echoed into each run directory.
-    Raises :class:`ConfigError` with the offending key path on any problem.
-    """
-    _expect(isinstance(config, Mapping), "", "top level must be an object")
-    _check_keys(config, {"model", "microscopic", "effective", "grid", "sites",
-                         "boundary", "initial", "run", "output"}, "")
-
-    model = config.get("model")
-    _expect(model in MODELS, "model", f"must be one of {MODELS}, got {model!r}")
-
-    has_micro = "microscopic" in config
-    has_eff = "effective" in config
-    _expect(has_micro != has_eff, "microscopic|effective",
-            "exactly one parameterization (microscopic or effective) required")
-    if model == "langevin":
-        _expect(has_micro, "microscopic",
-                "the langevin model needs microscopic parameters")
-
-    out: dict = {"model": model}
-
-    if has_micro:
-        m = config["microscopic"]
-        _check_keys(m, {"chi", "eta", "kappa", "delta", "hopping",
-                        "anharmonicity"}, "microscopic")
-        out["microscopic"] = {
-            "chi": _get_number(m, "chi", "microscopic", required=True),
-            "eta": _get_number(m, "eta", "microscopic", required=True),
-            "kappa": _get_number(m, "kappa", "microscopic", required=True),
-            "delta": _get_number(m, "delta", "microscopic", required=True),
-            "hopping": _get_number(m, "hopping", "microscopic", default=1.0),
-            "anharmonicity": _get_number(m, "anharmonicity", "microscopic",
-                                         default=0.0),
-        }
-    else:
-        e = config["effective"]
-        _check_keys(e, {"g", "gamma", "delta_g", "hopping"}, "effective")
-        out["effective"] = {
-            "g": _get_number(e, "g", "effective", required=True),
-            "gamma": _get_number(e, "gamma", "effective", default=0.0),
-            "delta_g": _get_number(e, "delta_g", "effective", default=0.0),
-            "hopping": _get_number(e, "hopping", "effective", default=1.0),
-        }
-
-    if model == "pcdnse":
-        _expect("grid" in config, "grid", "required for the pcdnse model")
-        grid = config["grid"]
-        _check_keys(grid, {"domain_length", "n_points", "boundary"}, "grid")
-        boundary = grid.get("boundary", PERIODIC)
-        _expect(boundary in (PERIODIC, OPEN), "grid.boundary",
-                f"must be '{PERIODIC}' or '{OPEN}'")
-        out["grid"] = {
-            "domain_length": _get_number(grid, "domain_length", "grid",
-                                         required=True),
-            "n_points": _get_int(grid, "n_points", "grid", required=True),
-            "boundary": boundary,
-        }
-        _expect(out["grid"]["domain_length"] > 0, "grid.domain_length",
-                "must be positive")
-        _expect(out["grid"]["n_points"] >= 16, "grid.n_points",
-                "must be at least 16")
-    elif model in ("lattice", "langevin"):
-        sites = _get_int(config, "sites", "", required=True)
-        _expect(sites >= 16, "sites", "must be at least 16")
-        boundary = config.get("boundary", PERIODIC)
-        _expect(boundary in (PERIODIC, OPEN), "boundary",
-                f"must be '{PERIODIC}' or '{OPEN}'")
-        out["sites"] = sites
-        out["boundary"] = boundary
-    for key in ("grid", "sites", "boundary"):
-        _expect(key not in config or key in out, key,
-                f"not read by the {model} model")
-
-    _expect("initial" in config, "initial", "missing required section")
-    init = config["initial"]
-    _check_keys(init, {"soliton", "stable", "field_file"}, "initial")
-    kinds = list(init)
-    _expect(len(kinds) == 1, "initial",
-            "exactly one of 'soliton', 'stable', 'field_file' required")
-    kind = kinds[0]
-    _expect(model != "stable" or kind == "stable", "initial",
-            "the stable model needs an 'initial.stable' section")
-    if kind == "soliton":
-        s = init["soliton"]
-        _check_keys(s, {"psi", "x0", "v", "w", "d", "phi"}, "initial.soliton")
-        w = s.get("w")
-        out["initial"] = {"soliton": {
-            "psi": _get_number(s, "psi", "initial.soliton", required=True),
-            "x0": _get_number(s, "x0", "initial.soliton", required=True),
-            "v": _get_number(s, "v", "initial.soliton", default=0.0),
-            "w": None if w is None else _get_number(s, "w", "initial.soliton"),
-            "d": _get_number(s, "d", "initial.soliton", default=0.0),
-            "phi": _get_number(s, "phi", "initial.soliton", default=0.0),
-        }}
-    elif kind == "stable":
-        s = init["stable"]
-        _check_keys(s, {"n_particles", "x0", "v", "phi"}, "initial.stable")
-        out["initial"] = {"stable": {
-            "n_particles": _get_number(s, "n_particles", "initial.stable",
-                                       required=True),
-            "x0": _get_number(s, "x0", "initial.stable", default=0.0),
-            "v": _get_number(s, "v", "initial.stable", default=0.0),
-            "phi": _get_number(s, "phi", "initial.stable", default=0.0),
-        }}
-    else:
-        _expect(model in ("pcdnse", "lattice", "langevin"), "initial.field_file",
-                "field files apply to field/lattice models only")
-        _expect(isinstance(init["field_file"], str), "initial.field_file",
-                "expected a path string")
-        out["initial"] = {"field_file": init["field_file"]}
-
-    _expect("run" in config, "run", "missing required section")
-    run = config["run"]
-    _check_keys(run, {"t_final", "snapshots", "solver"}, "run")
-    t_final = _get_number(run, "t_final", "run", required=True)
-    _expect(t_final > 0, "run.t_final", "must be positive")
-    snapshots = _get_int(run, "snapshots", "run", default=11)
-    _expect(snapshots >= 2, "run.snapshots", "must be at least 2")
-
-    solver_cfg = run.get("solver", {})
-    _check_keys(solver_cfg, {"preset", "method", "rtol", "atol", "max_steps"},
-                "run.solver")
-    preset = solver_cfg.get("preset", _DEFAULT_SOLVER_PRESET[model])
-    _expect(isinstance(preset, str) and preset in SOLVER_PRESETS,
-            "run.solver.preset",
-            f"unknown preset {preset!r}; choose from {sorted(SOLVER_PRESETS)}")
-    base = SOLVER_PRESETS[preset]
-    method = solver_cfg.get("method", base.method)
-    out["run"] = {
-        "t_final": t_final,
-        "snapshots": snapshots,
-        "solver": {
-            "preset": preset,
-            "method": method,
-            "rtol": _get_number(solver_cfg, "rtol", "run.solver",
-                                default=base.rtol),
-            "atol": _get_number(solver_cfg, "atol", "run.solver",
-                                default=base.atol),
-            "max_steps": _get_int(solver_cfg, "max_steps", "run.solver",
-                                  default=base.max_steps),
-        },
-    }
-
-    output = config.get("output", {})
-    _check_keys(output, {"directory", "formats", "field_files"}, "output")
-    formats = output.get("formats", ["csv"])
-    _expect(isinstance(formats, list) and formats
-            and all(f in ("csv", "json") for f in formats),
-            "output.formats", "must be a non-empty list drawn from ['csv', 'json']")
-    _expect(isinstance(output.get("directory"), (str, type(None))),
-            "output.directory", "expected a path string")
-    out["output"] = {
-        "directory": output.get("directory"),
-        "formats": list(formats),
-        "field_files": _get_int(output, "field_files", "output", default=5),
-    }
-    _expect(out["output"]["field_files"] >= 2, "output.field_files",
-            "must be at least 2 (first and last snapshot)")
-
-    try:
-        SolverConfig(method=method, rtol=out["run"]["solver"]["rtol"],
-                     atol=out["run"]["solver"]["atol"],
-                     max_steps=out["run"]["solver"]["max_steps"])
-    except ValueError as exc:
-        raise ConfigError(f"config[run.solver]: {exc}") from exc
-
-    return out
-
-
-_SWEEP_NUMBERS = ("chi", "eta", "kappa", "hopping", "delta_min", "delta_max")
-
-
-def normalize_sweep_config(section) -> dict:
-    """Validate a ``params_sweep`` config section and return a copy of it:
-    :func:`run_params_sweep` keyword arguments and an optional output
-    ``directory``.  Raises :class:`ConfigError` with the key path."""
-    path = "params_sweep"
-    _check_keys(section, {*_SWEEP_NUMBERS, "num", "directory"}, path)
-    for key in _SWEEP_NUMBERS:
-        _get_number(section, key, path)
-    _expect(isinstance(section.get("directory", ""), str),
-            f"{path}.directory", "expected a path string")
-    out = dict(section)
-    if "num" in out:
-        out["num"] = _get_int(section, "num", path)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ WEAK_COUPLING_ADVISORY = 0.1
 
 
 class DegenerateDenominatorError(ValueError):
-    """Cavity response denominator kappa**2/4 + delta**2 vanished."""
+    """Cavity response denominator kappa**2/4 + delta**2, cubed, underflowed
+    to zero."""
 
 
 class UnsolvableSignError(ValueError):
@@ -69,8 +70,8 @@ class ReservoirParams:
     Raises
     ------
     DegenerateDenominatorError
-        If kappa**2/4 + delta**2 is zero (kappa = delta = 0, or both so
-        small that their squares underflow): the cavity response is
+        If (kappa**2/4 + delta**2)**3 is zero (kappa = delta = 0, or both
+        so small that the cube underflows): the cavity response is
         singular.
     """
 
@@ -88,9 +89,15 @@ class ReservoirParams:
             raise ValueError("eta must be non-negative")
         if self.kappa < 0:
             raise ValueError("kappa must be non-negative")
-        if self.delta**2 + self.kappa**2 / 4.0 == 0.0:
+        # effective_params divides by den**2 and den**3; below 1 the cube
+        # is the smaller, so it underflows first (and above 1 it could
+        # overflow, which float ** raises on)
+        den = self.delta**2 + self.kappa**2 / 4.0
+        if den < 1.0 and den**3 == 0.0:
             raise DegenerateDenominatorError(
-                "kappa and delta both vanish; cavity response is singular")
+                "kappa and delta both vanish, or so nearly that "
+                "(kappa**2/4 + delta**2)**3 underflows to zero; cavity "
+                "response is singular")
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,11 @@ _INF, _NAN = float("inf"), float("nan")
                   "effective": None, "microscopic": {
                       **_MICROSCOPIC, "kappa": 0.0, "delta": 0.0}}, [],
                  id="langevin_kappa_delta_zero"),
+    # kappa**2/4 + delta**2 is 1e-120, whose cube underflows to zero
+    pytest.param({"model": "langevin", "grid": None, "sites": 400,
+                  "effective": None, "microscopic": {
+                      **_MICROSCOPIC, "kappa": 0.0, "delta": -1e-60}}, [],
+                 id="langevin_kappa_zero_delta_tiny"),
     pytest.param({"initial": {"soliton": {"psi": -1.0, "x0": 20.0,
                                           "w": 1.0}}}, [], id="psi_negative"),
     pytest.param({"initial": {"soliton": {"psi": 1.0, "x0": 20.0,
@@ -196,6 +201,16 @@ def test_params_config_sets_sweep_and_directory(tmp_path, monkeypatch):
         (tmp_path / "from_config" / "report.json").read_text())
     assert report["sweep_points"] == 11
     assert report["parameters"]["chi"] == 0.1
+    # numbers are echoed as written; only num must become an int
+    whole = write_config(tmp_path, {"params_sweep": {
+        "num": 11.0, "chi": 1, "kappa": 2,
+        "directory": str(tmp_path / "whole")}}, name="whole.json")
+    assert main(["params", "--config", whole]) == 0
+    report = json.loads((tmp_path / "whole" / "report.json").read_text())
+    assert report["sweep_points"] == 11
+    chi, kappa = report["parameters"]["chi"], report["parameters"]["kappa"]
+    assert (chi, kappa) == (1, 2)
+    assert type(chi) is int and type(kappa) is int
     # a flag beats the config file
     assert main(["params", "--config", path, "--num", "21"]) == 0
     report = json.loads(

@@ -111,6 +111,8 @@ def test_normalize_config_fills_defaults_and_is_idempotent():
      "config.grid.: not read by the lattice model"),
     (lambda c: (c.pop("grid"), c.update(model="lattice", sites=15)),
      "config.sites.: must be at least 16"),
+    (lambda c: (c.pop("grid"), c.update(model="lattice")),
+     r"^config\[sites\]"),
 ])
 def test_normalize_config_rejects_malformed_input(mangle, message):
     cfg = pcdnse_config()
@@ -266,7 +268,7 @@ def test_integral_floats_are_integers():
 
 
 # ---------------------------------------------------------------------------
-# docs/config_schema.json accepts exactly the configs normalize_config does,
+# config_schema.json accepts exactly the configs normalize_config does,
 # except for the rules the schema states only in prose.  A config that
 # breaks one of those must still be rejected by normalize_config:
 # - exactly one of 'microscopic' and 'effective';
@@ -278,7 +280,8 @@ def test_integral_floats_are_integers():
 # Non-finite numbers are not JSON, and JSON numbers beyond the range of a
 # double have no float to parse into, so neither is drawn.
 
-_SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
+_SCHEMA_PATH = (Path(__file__).resolve().parents[1] / "src" / "pcdnse"
+                / "config_schema.json")
 
 
 def _full_field_config():

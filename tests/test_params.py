@@ -65,10 +65,12 @@ def test_degenerate_cavity_response_rejected():
         effective_params(res, chain())
 
 
-@pytest.mark.parametrize("kappa, delta", [(0.0, 0.0), (0.0, -1e-200),
-                                          (1e-170, 1e-170)])
+@pytest.mark.parametrize("kappa, delta", [
+    (0.0, 0.0), (0.0, -1e-200), (1e-170, 1e-170),
+    (0.0, -1e-60), (0.0, -1e-160), (1e-60, 0.0), (1e-110, 0.0)])
 def test_degenerate_reservoir_is_rejected_when_built(kappa, delta):
-    # kappa**2/4 + delta**2 underflows to zero in the last two
+    # kappa**2/4 + delta**2 underflows to zero in the second and third; in
+    # the last four only its cube does, which effective_params divides by
     with pytest.raises(DegenerateDenominatorError, match="singular"):
         ReservoirParams(chi=0.1, eta=1.0, kappa=kappa, delta=delta)
 

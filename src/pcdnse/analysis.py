@@ -3,8 +3,8 @@
 The central tool is a nonlinear least-squares fit of the six-parameter
 soliton ansatz to a complex field snapshot (Levenberg-Marquardt, given the
 analytic Jacobian of the ansatz).  On top of it sit the velocity
-damping estimator (finite-difference slope of the momentum velocity over a
-fixed horizon, gated by endpoint fits) and the windowed envelope-deviation
+damping estimator (finite-difference slope of the momentum velocity between
+two snapshots, gated by endpoint fits) and the windowed envelope-deviation
 series used to monitor shape relaxation in long runs.  A direct profile
 comparator quantifies agreement between occupation profiles from different
 models.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -233,17 +232,18 @@ def fit_soliton(
 
 
 def velocity_damping_estimate(
-    fields: Sequence[FieldState],
-    times: Sequence[float],
-    horizon: float = 4.0,
+    start: FieldState,
+    end: FieldState,
+    t_start: float,
+    t_end: float,
     hopping: float = 1.0,
     residual_threshold: float = 1e-2,
 ) -> DampingEstimate:
-    """Velocity slope between the start and the end of a horizon.
+    """Velocity slope between the snapshots ``start`` and ``end``.
 
-    Uses the first snapshot and the one nearest ``times[0] + horizon``
-    (which must exist within 5% of the horizon) and returns the
-    finite-difference slope and the relative rate vdot/(v_mean J).
+    Returns the finite-difference slope between the snapshot at
+    ``t_start`` and the later one at ``t_end``, and the relative rate
+    vdot/(v_mean J).
 
     The velocity observable is momentum per particle.  A fitted phase
     slope lags the momentum by an order-one transient while the soliton
@@ -256,36 +256,27 @@ def velocity_damping_estimate(
     dressing alone contributes an O(gamma) residual (~1.5e-3 at
     gamma = 0.1) that must not count as shape loss.
     """
-    times = np.asarray(times, dtype=float)
-    if len(times) != len(fields) or len(times) < 2:
-        raise ValueError("need matching times and fields with >= 2 snapshots")
-    t_target = times[0] + horizon
-    idx = int(np.argmin(np.abs(times - t_target)))
-    if abs(times[idx] - t_target) > 0.05 * horizon:
-        raise ValueError(
-            f"no snapshot within 5% of the horizon {horizon!r}; "
-            f"closest is at t={times[idx]!r}")
-    if idx == 0:
-        raise ValueError("horizon too short: endpoint equals start")
+    t_start, t_end = float(t_start), float(t_end)
+    if not t_end > t_start:
+        raise ValueError("t_end must exceed t_start")
 
-    fit0 = fit_soliton(fields[0], residual_threshold=residual_threshold)
-    fit1 = fit_soliton(fields[idx], residual_threshold=residual_threshold)
+    fit0 = fit_soliton(start, residual_threshold=residual_threshold)
+    fit1 = fit_soliton(end, residual_threshold=residual_threshold)
     if not (fit0.converged and fit1.converged):
         raise ValueError(
             "endpoint snapshot is not a clean single soliton; residuals "
             f"{fit0.residual:.2e} and {fit1.residual:.2e}")
-    v0 = mean_velocity(fields[0])
-    v1 = mean_velocity(fields[idx])
-    dt = times[idx] - times[0]
-    vdot = (v1 - v0) / dt
+    v0 = mean_velocity(start)
+    v1 = mean_velocity(end)
+    vdot = (v1 - v0) / (t_end - t_start)
     v_mean = 0.5 * (v1 + v0)
     if v_mean == 0:
         raise ValueError("mean velocity vanishes; relative rate undefined")
     return DampingEstimate(
         vdot=vdot,
         relative_rate=vdot / (v_mean * hopping),
-        t_start=float(times[0]),
-        t_end=float(times[idx]),
+        t_start=t_start,
+        t_end=t_end,
         v_start=v0,
         v_end=v1,
         fit_start=fit0,

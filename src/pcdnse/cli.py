@@ -23,6 +23,7 @@ from pathlib import Path
 from . import io
 from .analysis import FIT_RESIDUAL_THRESHOLD, NoPeakError, fit_soliton
 from .collective import WidthCollapseError
+from .config import check_solver_flags
 from .experiments import (
     EXPERIMENTS,
     ConfigError,
@@ -82,8 +83,7 @@ def _print_checks(report: dict) -> None:
 def _cmd_params(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.config:
-        kwargs = normalize_sweep_config(
-            _load_config(args.config).get("params_sweep", {}))
+        kwargs = normalize_sweep_config(_load_config(args.config))
     out_dir = _resolve_out(args.out, kwargs.pop("directory", None),
                            "out/params")
     for key in ("chi", "eta", "kappa", "hopping", "delta_min", "delta_max",
@@ -98,14 +98,13 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    overrides = {"preset": args.preset or None, "rtol": args.rtol,
-                 "atol": args.atol}
+    overrides = check_solver_flags(preset=args.preset, rtol=args.rtol,
+                                   atol=args.atol)
     run = config.setdefault("run", {})
     # A run or solver section that is not an object is left for
     # normalize_config to reject with its key path.
     if isinstance(run, dict) and isinstance(run.setdefault("solver", {}), dict):
-        run["solver"].update(
-            {key: value for key, value in overrides.items() if value is not None})
+        run["solver"].update(overrides)
     cfg = normalize_config(config)
     out_dir = _resolve_out(args.out, cfg["output"]["directory"], "out/run")
     manifest = run_simulation(cfg, out_dir)

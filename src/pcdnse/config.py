@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .integrate import SOLVER_PRESETS
 
-__all__ = ["ConfigError", "MODELS", "normalize_config",
+__all__ = ["ConfigError", "MODELS", "check_solver_flags", "normalize_config",
            "normalize_sweep_config"]
 
 _SCHEMA = json.loads(Path(__file__).with_name("config_schema.json").read_text())
@@ -46,15 +46,26 @@ _SWEEP_RULE = {
         "directory": {"type": "string"},
     },
 }
+# a params --config file holds the sweep section and nothing else
+_SWEEP_FILE_RULE = {"type": "object", "additionalProperties": False,
+                    "properties": {"params_sweep": _SWEEP_RULE}}
 
 
 class ConfigError(ValueError):
     """A configuration file is malformed or inconsistent."""
 
 
+def _where(path: str) -> str:
+    """How a message names ``path``: a command-line flag as itself, the top
+    level as ``config`` and any key as ``config[key]``."""
+    if path.startswith("--"):
+        return path
+    return f"config[{path}]" if path else "config"
+
+
 def _expect(cond: bool, path: str, message: str) -> None:
     if not cond:
-        raise ConfigError(f"config[{path}]: {message}")
+        raise ConfigError(f"{_where(path)}: {message}")
 
 
 def _is_number(value) -> bool:
@@ -91,7 +102,7 @@ def _check(value, rule: Mapping, path: str):
     kind = next((t for t in types if _TYPES[t][0](value)), None)
     if types and kind is None:
         names = " or ".join(_TYPES[t][1] for t in types)
-        raise ConfigError(f"config[{path}]: expected {names}, got {value!r}")
+        raise ConfigError(f"{_where(path)}: expected {names}, got {value!r}")
     if kind == "number":
         value = float(value)
     elif kind == "integer":
@@ -176,13 +187,23 @@ def normalize_config(config: Mapping) -> dict:
             and (key not in _READERS or model in _READERS[key])}
 
 
-def normalize_sweep_config(section) -> dict:
-    """Validate a ``params_sweep`` config section and return a copy of it:
+def check_solver_flags(**flags) -> dict:
+    """The solver flags given (not ``None``), by ``run.solver`` key, each
+    checked against the schema rule of its key.  Raises
+    :class:`ConfigError` naming the flag."""
+    rules = _SCHEMA["properties"]["run"]["properties"]["solver"]["properties"]
+    return {key: _check(value, rules[key], f"--{key}")
+            for key, value in flags.items() if value is not None}
+
+
+def normalize_sweep_config(config) -> dict:
+    """Validate a ``params --config`` file, whose one key is
+    ``params_sweep``, and return a copy of that section:
     :func:`~pcdnse.experiments.run_params_sweep` keyword arguments and an
     optional output ``directory``, as written except that ``num`` is an
     ``int``.  Raises :class:`ConfigError` with the key path."""
-    _check(section, _SWEEP_RULE, "params_sweep")
-    out = dict(section)
+    _check(config, _SWEEP_FILE_RULE, "")
+    out = dict(config.get("params_sweep", {}))
     if "num" in out:
         out["num"] = int(out["num"])
     return out

@@ -22,14 +22,14 @@ through T^-1 and measured with the same norm as without a linear part, so
 rtol and atol keep their meaning.
 
 Step-size selection uses a PI controller (safety factor 0.9, growth factor
-clamped to [0.2, 5]).  Requested snapshot times are recorded exactly: an
-accepted step from t to t_new records every snapshot in (t, t_new], those
-strictly inside from the pair's continuous extension [4] and one at t_new
-from the step itself.  Solves differ only in whether a step is clipped at
-the next snapshot.  Plain (not Lawson) tsit5 steps are not, so they follow
-the tolerance whatever the number of snapshots.  rkf78, which has no
-continuous extension, and Lawson steps are, so what they record are
-genuine step points.
+clamped to [0.2, 5]).  A solve records its snapshot times exactly, t0 and
+t1 unless others are given: an accepted step from t to t_new records every
+snapshot in (t, t_new], those strictly inside from the pair's continuous
+extension [4] and one at t_new from the step itself.  Solves differ only
+in whether a step is clipped at the next snapshot.  Plain (not Lawson)
+tsit5 steps are not, so they follow the tolerance whatever the number of
+snapshots.  rkf78, which has no continuous extension, and Lawson steps
+are, so what they record are genuine step points.
 
 References
 ----------
@@ -123,11 +123,11 @@ class OdeProblem:
 class SolverConfig:
     """Method choice and accuracy targets for :func:`solve`.
 
-    ``snapshot_times`` requests the recorded output grid; when ``None`` every
-    accepted step is recorded.  rkf78 and Lawson solves clip a step at each
-    snapshot; plain tsit5 solves do not, and interpolate the snapshots
-    inside their steps (see the module docstring).  The local error is
-    measured against ``atol + rtol * |y|`` componentwise (RMS norm).
+    ``snapshot_times`` requests the recorded output grid; when ``None`` it
+    is [t0, t1].  rkf78 and Lawson solves clip a step at each snapshot;
+    plain tsit5 solves do not, and interpolate the snapshots inside their
+    steps (see the module docstring).  The local error is measured against
+    ``atol + rtol * |y|`` componentwise (RMS norm).
     """
 
     method: str = "tsit5"
@@ -459,13 +459,12 @@ class _LawsonStages:
 def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
     """Integrate ``problem`` and return the recorded trajectory.
 
-    With ``snapshot_times`` set, exactly those instants are recorded (they
-    must lie in [t0, t1] and be strictly increasing); integration stops at
-    the last one.  Only the first may stand for t0 when it lies within
-    1e-12 of it.  Without them every accepted step is recorded, starting
-    at t0.  With ``problem.linear`` set, the steps are taken in Lawson
-    form (see the module docstring).  Identical inputs produce
-    bit-identical output.
+    Exactly the instants of ``snapshot_times`` are recorded, t0 and t1 when
+    it is ``None`` (they must lie in [t0, t1] and be strictly increasing);
+    integration stops at the last one.  Only the first may stand for t0
+    when it lies within 1e-12 of it.  With ``problem.linear`` set, the
+    steps are taken in Lawson form (see the module docstring).  Identical
+    inputs produce bit-identical output.
 
     Raises
     ------
@@ -488,15 +487,15 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
     if not np.issubdtype(y.dtype, np.inexact):
         y = y.astype(float)
 
-    snapshots = None
-    if config.snapshot_times is not None:
-        snapshots = np.asarray(config.snapshot_times, dtype=float)
-        if snapshots.ndim != 1 or len(snapshots) == 0:
-            raise ValueError("snapshot_times must be a non-empty 1-d array")
-        if len(snapshots) > 1 and not np.all(np.diff(snapshots) > 0):
-            raise ValueError("snapshot_times must be strictly increasing")
-        if snapshots[0] < t0 - 1e-12 * max(1.0, abs(t0)) or snapshots[-1] > t1 + 1e-12 * max(1.0, abs(t1)):
-            raise ValueError("snapshot_times must lie within [t0, t1]")
+    requested = config.snapshot_times
+    snapshots = np.asarray((t0, t1) if requested is None else requested,
+                           dtype=float)
+    if snapshots.ndim != 1 or len(snapshots) == 0:
+        raise ValueError("snapshot_times must be a non-empty 1-d array")
+    if len(snapshots) > 1 and not np.all(np.diff(snapshots) > 0):
+        raise ValueError("snapshot_times must be strictly increasing")
+    if snapshots[0] < t0 - 1e-12 * max(1.0, abs(t0)) or snapshots[-1] > t1 + 1e-12 * max(1.0, abs(t1)):
+        raise ValueError("snapshot_times must lie within [t0, t1]")
 
     stats = SolveStats()
     rec_times: list[float] = []
@@ -506,19 +505,15 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
         rec_times.append(t)
         rec_states.append(state.copy())
 
+    # Only the first snapshot may stand for t0; later ones are reached by
+    # stepping, so each is recorded at its own time.
     out_idx = 0
-    if snapshots is None:
+    if snapshots[0] <= t0 + 1e-12 * max(1.0, abs(t0)):
         record(t0, y)
-        t_end = t1
-    else:
-        # Only the first snapshot may stand for t0; later ones are reached
-        # by stepping, so each is recorded at its own time.
-        if snapshots[0] <= t0 + 1e-12 * max(1.0, abs(t0)):
-            record(t0, y)
-            out_idx = 1
-        t_end = float(snapshots[-1])
-        if out_idx >= len(snapshots):
-            return TimeSeries(np.array(rec_times), np.array(rec_states), stats)
+        out_idx = 1
+    t_end = float(snapshots[-1])
+    if out_idx >= len(snapshots):
+        return TimeSeries(np.array(rec_times), np.array(rec_states), stats)
 
     f0 = rhs(t0, y)
     stats.n_rhs += 1
@@ -528,8 +523,7 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
         stages = _LawsonStages(tab, rhs, problem.linear, stats, y, f0)
     # The one choice per solve: plain steps of a pair with a continuous
     # extension run free, the others are clipped at each snapshot.
-    dense_output = (snapshots is not None and tab.dense is not None
-                    and problem.linear is None)
+    dense_output = tab.dense is not None and problem.linear is None
 
     exponent = 1.0 / (tab.error_order + 1)
     beta1 = 0.7 * exponent               # PI controller memory weights
@@ -552,10 +546,7 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
                 f"step size {dt!r} underflowed at t={t!r}", stats)
 
         # Clip to land exactly on the next output a step must reach.
-        if snapshots is None or dense_output:
-            target = t_end
-        else:
-            target = float(snapshots[out_idx])
+        target = t_end if dense_output else float(snapshots[out_idx])
         h = dt
         clipped = False
         if t + h >= target - tiny:
@@ -574,21 +565,17 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
                 factor = min(fac_max, max(
                     fac_min, safety * err**(-beta1) * err_prev**beta2))
             err_prev = max(err, 1e-4)
-            if snapshots is None:
+            # Snapshots in (t, t_new) come from the interpolant, one at
+            # t_new from the step itself.
+            stop = int(np.searchsorted(snapshots, t_new, side="right"))
+            hit = stop > out_idx and float(snapshots[stop - 1]) == t_new
+            inner = snapshots[out_idx:stop - 1 if hit else stop]
+            if len(inner):
+                rec_times.extend(inner.tolist())
+                rec_states.extend(stages.interpolate(y, h, (inner - t) / h))
+            if hit:
                 record(t_new, y_new)
-            else:
-                # Snapshots in (t, t_new) come from the interpolant, one at
-                # t_new from the step itself.
-                stop = int(np.searchsorted(snapshots, t_new, side="right"))
-                hit = stop > out_idx and float(snapshots[stop - 1]) == t_new
-                inner = snapshots[out_idx:stop - 1 if hit else stop]
-                if len(inner):
-                    rec_times.extend(inner.tolist())
-                    rec_states.extend(
-                        stages.interpolate(y, h, (inner - t) / h))
-                if hit:
-                    record(t_new, y_new)
-                out_idx = stop
+            out_idx = stop
             t, y = t_new, y_new
             stages.accept()
             dt = h * factor

@@ -151,9 +151,8 @@ def test_velocity_damping_on_exponential_sequence():
     # v(t) = v0 exp(-r t) sampled at the endpoints of a horizon dt gives
     # the secant slope: relative rate -2 tanh(r dt / 2) / dt, not -r itself
     rate, dt = 0.05, 4.0
-    times = [0.0, 2.0, 4.0]
-    est = velocity_damping_estimate(_decaying_sequence(rate, times), times,
-                                    horizon=dt)
+    start, end = _decaying_sequence(rate, [0.0, dt])
+    est = velocity_damping_estimate(start, end, 0.0, dt)
     expected = -2.0 * math.tanh(rate * dt / 2.0) / dt
     assert_allclose(est.relative_rate, expected, rtol=1e-3)
     assert est.t_start == 0.0 and est.t_end == 4.0
@@ -162,14 +161,10 @@ def test_velocity_damping_on_exponential_sequence():
 
 
 def test_velocity_damping_snapshot_gates():
-    times = [0.0, 2.0, 4.0]
-    fields = _decaying_sequence(0.05, times)
-    with pytest.raises(ValueError, match="5%"):
-        velocity_damping_estimate(fields, times, horizon=3.0)
-    with pytest.raises(ValueError, match="horizon too short"):
-        velocity_damping_estimate(fields, times, horizon=0.0)
-    with pytest.raises(ValueError, match="matching times"):
-        velocity_damping_estimate(fields[:2], times, horizon=4.0)
+    start, end = _decaying_sequence(0.05, [0.0, 4.0])
+    for t_end in (0.0, -4.0):
+        with pytest.raises(ValueError, match="t_end must exceed t_start"):
+            velocity_damping_estimate(start, end, 0.0, t_end)
 
 
 def test_velocity_damping_rejects_broken_endpoint():
@@ -181,9 +176,9 @@ def test_velocity_damping_rejects_broken_endpoint():
     b = make_soliton_field(
         SolitonCoords(psi=1.0, x0=140.0, v=0.0, w=5.0, d=0.0, phi=0.0),
         200.0, 2000, containment_tol=1e-4)
-    broken = [fields[0], FieldState(a.psi + b.psi, 200.0)]
+    broken = FieldState(a.psi + b.psi, 200.0)
     with pytest.raises(ValueError, match="single soliton"):
-        velocity_damping_estimate(broken, times, horizon=4.0)
+        velocity_damping_estimate(fields[0], broken, 0.0, 4.0)
 
 
 def test_velocity_damping_needs_nonzero_velocity():
@@ -193,7 +188,7 @@ def test_velocity_damping_needs_nonzero_velocity():
         SolitonCoords(psi=0.8, x0=100.0, v=0.0, w=4.0, d=0.0, phi=0.0),
         200.0, 2001, OPEN, containment_tol=1e-4)
     with pytest.raises(ValueError, match="vanishes"):
-        velocity_damping_estimate([still, still], [0.0, 4.0], horizon=4.0)
+        velocity_damping_estimate(still, still, 0.0, 4.0)
 
 
 def test_envelope_deviation_tracks_a_decaying_oscillation():

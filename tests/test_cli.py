@@ -160,6 +160,9 @@ _INF, _NAN = float("inf"), float("nan")
                  id="nan_rtol"),
     pytest.param({}, ["--rtol", "nan"], id="nan_rtol_flag"),
     pytest.param({}, ["--atol", "inf"], id="infinite_atol_flag"),
+    pytest.param({}, ["--preset", "gallium"], id="unknown_preset_flag"),
+    pytest.param({}, ["--preset", ""], id="empty_preset_flag"),
+    pytest.param({}, ["--rtol", "-1"], id="negative_rtol_flag"),
     pytest.param({"model": "collective"}, [], id="collective_with_grid"),
 ])
 def test_simulate_rejects_invalid_values_and_writes_nothing(
@@ -169,7 +172,10 @@ def test_simulate_rejects_invalid_values_and_writes_nothing(
     out = tmp_path / "x"
     assert main(["simulate", "--config", write_config(tmp_path, cfg),
                  "--out", str(out), *flags]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    # a bad flag is named as the flag, not as the config key it sets
+    assert not flags or f"error: {flags[0]}: " in err
     assert not out.exists()
 
 
@@ -181,6 +187,12 @@ def test_simulate_rejects_invalid_values_and_writes_nothing(
     ('{"params_sweep": {"num": 2.5}}', "config[params_sweep.num]"),
     ('{"params_sweep": {"directory": 5}}', "config[params_sweep.directory]"),
     ('{"params_sweep": {"chi": -1}}', "chi must be non-negative"),
+    ('{"params_swep": {"chi": 0.2, "num": 11}}',
+     "config: unknown keys ['params_swep']"),
+    # numpy refuses this count before it allocates anything
+    pytest.param('{"params_sweep": {"num": 1%s}}' % ("0" * 400),
+                 "params sweep: Maximum allowed size exceeded",
+                 id="num_10_to_the_400"),
 ])
 def test_params_rejects_malformed_configs(tmp_path, capsys, text, message):
     path = tmp_path / "params.json"
@@ -363,6 +375,13 @@ def test_params_rejects_a_degenerate_reservoir(tmp_path, capsys):
     assert main(["params", "--kappa", "0", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "params sweep: kappa and delta both vanish" in err
+    assert not out.exists()
+
+
+def test_params_rejects_a_count_too_large_to_allocate(tmp_path, capsys):
+    out = tmp_path / "p"
+    assert main(["params", "--num", str(10**20), "--out", str(out)]) == 2
+    assert "params sweep: " in capsys.readouterr().err
     assert not out.exists()
 
 

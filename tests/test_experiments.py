@@ -1,6 +1,7 @@
 """Config validation and single-run driver behavior on small problems."""
 
 import copy
+import dataclasses
 import json
 import math
 import threading
@@ -625,6 +626,21 @@ def test_params_sweep_checks_pass(tmp_path):
         run_params_sweep(tmp_path, num=3)
     with pytest.raises(ConfigError, match="delta_min"):
         run_params_sweep(tmp_path, delta_min=1.0, delta_max=-1.0)
+
+
+def test_params_sweep_odd_check_reads_gamma_not_the_grid(tmp_path,
+                                                         monkeypatch):
+    # a sweep that is not symmetric about delta = 0 still has an odd gamma
+    report = run_params_sweep(tmp_path / "a", delta_min=-3.0, delta_max=2.0,
+                              num=121)
+    assert report["checks"]["gamma_odd_in_detuning"]
+    # an even count is checked too, not passed unseen
+    effective_params = experiments.effective_params
+    monkeypatch.setattr(experiments, "effective_params", lambda res, chain:
+                        dataclasses.replace(effective_params(res, chain),
+                                            gamma=res.delta ** 2))
+    report = run_params_sweep(tmp_path / "b", num=100)
+    assert not report["checks"]["gamma_odd_in_detuning"]
 
 
 def test_experiment_registry_and_dispatch(tmp_path):

@@ -51,8 +51,6 @@ def test_exponential_decay_matches_closed_form(method):
     assert series.times[0] == 0.0
     assert series.times[-1] == 5.0
     assert_allclose(series.states[-1, 0], math.exp(-5.0), rtol=1e-8)
-    # every accepted step recorded in free-running mode
-    assert len(series.times) == series.stats.n_accepted + 1
 
 
 @pytest.mark.parametrize("method", ["tsit5", "rkf78"])
@@ -90,6 +88,28 @@ def test_identical_inputs_give_bit_identical_output():
     assert np.array_equal(a.states, b.states)
     assert a.stats.n_rhs == b.stats.n_rhs
     assert a.stats.n_accepted == b.stats.n_accepted
+
+
+def nonlinear_rotation(t, y):
+    return 1j * (1.0 + np.abs(y) ** 2) * y
+
+
+@pytest.mark.parametrize("method", ["tsit5", "rkf78"])
+@pytest.mark.parametrize("lawson", [False, True])
+def test_default_snapshots_are_the_interval_ends(method, lawson):
+    # no snapshot_times means [t0, t1]: the same steps, the same output
+    linear = None
+    if lawson:
+        linear = LinearPart(np.full(2, 1j), lambda y: y, lambda y: y)
+    problem = OdeProblem(nonlinear_rotation, 0.5, 3.0,
+                         np.array([1.0 + 0.5j, 0.2 - 0.1j]), linear=linear)
+    default = solve(problem, SolverConfig(method=method))
+    explicit = solve(problem, SolverConfig(method=method,
+                                           snapshot_times=[0.5, 3.0]))
+    assert np.array_equal(default.times, [0.5, 3.0])
+    assert np.array_equal(default.states, explicit.states)
+    assert default.stats == explicit.stats
+    assert default.stats.n_accepted > 1
 
 
 def test_snapshot_times_are_hit_exactly():

@@ -7,7 +7,8 @@ of a stored snapshot), and ``experiment`` (canned multi-run datasets).
 Output directory precedence: ``--out`` flag, then the ``PCDNSE_OUTPUT_DIR``
 environment variable, then the config file's ``output.directory``, then
 ``./out/<name>``.  Exit codes: 0 on success, 2 on configuration errors
-(a missing or malformed snapshot file among them), 3 on numerical failures.
+(a missing or malformed snapshot file among them), 3 on numerical failures,
+4 when an ``experiment`` report has a failed check or a failed sub-run.
 """
 
 from __future__ import annotations
@@ -144,7 +145,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         figure=args.figure, out_dir=out_dir, full=args.full))
     print(f"experiment {args.figure} written to {out_dir}")
     _print_checks(report)
-    return 0
+    passed = all(report["checks"].values()) and not report.get("failures")
+    return 0 if passed else 4
 
 
 @functools.cache

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pcdnse import cli
 from pcdnse.cli import OUTPUT_DIR_ENV, main
 from pcdnse.collective import SolitonCoords
 from pcdnse.io import write_field_csv, write_field_json
@@ -463,6 +464,18 @@ def test_experiment_command(tmp_path, capsys):
     assert (tmp_path / "fig2" / "report.json").exists()
     with pytest.raises(SystemExit):
         main(["experiment", "fig9"])
+
+
+@pytest.mark.parametrize("report,printed", [
+    ({"checks": {"a": True, "b": False}, "failures": []}, "b: FAIL"),
+    ({"checks": {"a": True}, "failures": ["RuntimeError: x"]},
+     "sub-run failed: RuntimeError: x"),
+])
+def test_experiment_with_a_failed_check_or_sub_run_exits_4(
+        monkeypatch, tmp_path, capsys, report, printed):
+    monkeypatch.setattr(cli, "run_experiment", lambda config: report)
+    assert main(["experiment", "fig4", "--out", str(tmp_path)]) == 4
+    assert printed in capsys.readouterr().out
 
 
 def test_experiment_flags_that_would_do_nothing_exit_2(tmp_path, capsys):

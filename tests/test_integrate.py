@@ -383,20 +383,35 @@ def test_interpolated_snapshots_are_as_accurate_as_the_steps():
     # y' = i y against exp(i t): 206 steps record 401 snapshots.  Measured
     # at rtol = atol = 1e-8: 8.8e-9 at the step points, 9.1e-9 between.
     y0 = np.array([1.0 + 0.0j, 0.3 - 0.4j])
-    problem = OdeProblem(rotation, 0.0, 20.0, y0)
+    calls = []
+
+    def recorded(t, y):
+        calls.append((t, y.copy()))
+        return rotation(t, y)
+
     config = SolverConfig(rtol=1e-8, atol=1e-8)
-    steps = solve(problem, config)
     times = np.linspace(0.0, 20.0, 401)
-    dense = solve(problem, replace(config, snapshot_times=times))
-    assert dense.stats == steps.stats
+    dense = solve(OdeProblem(recorded, 0.0, 20.0, y0),
+                  replace(config, snapshot_times=times))
+    ends = solve(OdeProblem(rotation, 0.0, 20.0, y0), config)
+    assert dense.stats == ends.stats
     assert dense.stats.n_accepted < len(times) / 1.5
+    # Two calls start the solve (rhs at t0 and the starting-step probe);
+    # then each accepted step makes six, the last at its end point: Tsit5
+    # is first-same-as-last, so that stage's state is the step's result.
+    assert dense.stats.n_rejected == 0
+    assert len(calls) == 2 + 6 * dense.stats.n_accepted
+    step_times = np.array([t for t, _ in calls[7::6]])
+    step_states = np.array([y for _, y in calls[7::6]])
+    assert step_times[-1] == 20.0
 
-    def error(series):
-        exact = np.exp(1j * series.times)[:, None] * y0
-        return np.max(np.abs(series.states - exact))
+    def error(times, states):
+        exact = np.exp(1j * times)[:, None] * y0
+        return np.max(np.abs(states - exact))
 
-    assert error(dense) < 1.5 * error(steps)
-    assert error(dense) < 2e-8
+    at_steps = error(step_times, step_states)
+    assert error(dense.times, dense.states) < 1.5 * at_steps
+    assert error(dense.times, dense.states) < 2e-8
 
 
 @pytest.mark.parametrize("kind", ["rkf78", "lawson"])

@@ -94,7 +94,8 @@ def test_flow_conserves_total_occupation(rng):
     eff = EffectiveParams(g=-0.1, gamma=0.05, hopping=1.0)
     b0 = random_complex(rng, 24, scale=0.4)
     series = solve(OdeProblem(make_chain_ode(eff, PERIODIC), 0.0, 5.0, b0),
-                   SolverConfig(rtol=1e-10, atol=1e-12))
+                   SolverConfig(rtol=1e-10, atol=1e-12,
+                                snapshot_times=np.linspace(0.0, 5.0, 501)))
     norms = np.sum(np.abs(series.states) ** 2, axis=1)
     assert np.max(np.abs(norms / norms[0] - 1.0)) < 1e-10
 

@@ -70,7 +70,8 @@ def test_site_occupation_is_conserved_despite_cavity_drive(rng):
     b0 = random_complex(rng, 8, scale=0.4)
     y0 = np.concatenate([a0, b0])
     series = solve(OdeProblem(make_full_ode(RES, chain), 0.0, 10.0, y0),
-                   SolverConfig(method="rkf78", rtol=1e-11, atol=1e-12))
+                   SolverConfig(method="rkf78", rtol=1e-11, atol=1e-12,
+                                snapshot_times=np.linspace(0.0, 10.0, 101)))
     occ = np.sum(np.abs(series.states[:, 8:]) ** 2, axis=1)
     assert np.max(np.abs(occ / occ[0] - 1.0)) < 1e-10
 

@@ -7,8 +7,9 @@ of a stored snapshot), and ``experiment`` (canned multi-run datasets).
 Output directory precedence: ``--out`` flag, then the ``PCDNSE_OUTPUT_DIR``
 environment variable, then the config file's ``output.directory``, then
 ``./out/<name>``.  Exit codes: 0 on success, 2 on configuration errors
-(a missing or malformed snapshot file among them), 3 on numerical failures,
-4 when an ``experiment`` report has a failed check or a failed sub-run.
+(a missing or malformed snapshot file among them, or one holding a NaN or
+infinite value), 3 on numerical failures, 4 when the report of ``params``
+or ``experiment`` has a failed check or a failed sub-run.
 """
 
 from __future__ import annotations
@@ -74,11 +75,15 @@ def _resolve_out(flag_value: str | None, config_value: str | None,
     return Path(default)
 
 
-def _print_checks(report: dict) -> None:
-    for name, ok in report.get("checks", {}).items():
+def _print_checks(report: dict) -> int:
+    """Print the report's checks and failed sub-runs; return the exit
+    code: 0 when every check passed and no sub-run failed, else 4."""
+    for name, ok in report["checks"].items():
         print(f"  {name}: {'PASS' if ok else 'FAIL'}")
     for failure in report.get("failures", []):
         print(f"  sub-run failed: {failure}")
+    passed = all(report["checks"].values()) and not report.get("failures")
+    return 0 if passed else 4
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
@@ -93,8 +98,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
             kwargs[key] = getattr(args, key)
     report = run_params_sweep(out_dir, **kwargs)
     print(f"parameter sweep written to {out_dir}")
-    _print_checks(report)
-    return 0
+    return _print_checks(report)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -144,9 +148,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     report = run_experiment(ExperimentConfig(
         figure=args.figure, out_dir=out_dir, full=args.full))
     print(f"experiment {args.figure} written to {out_dir}")
-    _print_checks(report)
-    passed = all(report["checks"].values()) and not report.get("failures")
-    return 0 if passed else 4
+    return _print_checks(report)
 
 
 @functools.cache

@@ -387,6 +387,9 @@ def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
     constants vanish at zero detuning and are odd in it, gamma is positive
     on the red-detuned side, and |gamma| peaks near |delta| = kappa/sqrt(20)
     (located via the sign change of the finite-difference derivative).
+    A check is reported only when the sweep can test it: the first needs a
+    delta = 0 point, the positivity check red-detuned points, and the
+    extremum check red-detuned points that span [-0.3 kappa, -0.15 kappa].
     """
     if num < 5:
         raise ConfigError("params sweep needs at least 5 points")
@@ -414,27 +417,30 @@ def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
         "delta": deltas, "delta_g": dg, "gamma": gam,
     })]
 
+    # A check is reported only when the sweep has the points it tests.
     checks: dict[str, bool] = {}
     on_axis = np.isclose(deltas, 0.0, atol=1e-12)
-    checks["vanishes_at_zero_detuning"] = bool(
-        not on_axis.any() or (np.all(dg[on_axis] == 0.0)
-                              and np.all(gam[on_axis] == 0.0)))
+    if on_axis.any():
+        checks["vanishes_at_zero_detuning"] = bool(
+            np.all(dg[on_axis] == 0.0) and np.all(gam[on_axis] == 0.0))
     red = deltas < 0
-    checks["red_detuning_gives_positive_gamma"] = bool(np.all(gam[red] > 0))
+    if red.any():
+        checks["red_detuning_gives_positive_gamma"] = bool(
+            np.all(gam[red] > 0))
     checks["gamma_odd_in_detuning"] = bool(
         np.allclose(gam, -mirrored, atol=1e-15))
 
     # |gamma| extremum on the red side: finite-difference derivative changes
     # sign once, near |delta| = kappa/sqrt(20) ~ 0.2236 kappa.
     red_idx = np.where(red)[0]
-    dgam = np.diff(gam[red_idx])
-    flips = np.where(np.sign(dgam[:-1]) * np.sign(dgam[1:]) < 0)[0]
-    if len(flips) == 1:
-        d_star = abs(deltas[red_idx[flips[0] + 1]])
+    if red.any() and (deltas[red_idx[0]] <= -0.3 * kappa
+                      and deltas[red_idx[-1]] >= -0.15 * kappa):
+        dgam = np.diff(gam[red_idx])
+        flips = np.where(np.sign(dgam[:-1]) * np.sign(dgam[1:]) < 0)[0]
+        d_star = (abs(deltas[red_idx[flips[0] + 1]]) if len(flips) == 1
+                  else math.nan)
         checks["gamma_extremum_near_expected_detuning"] = bool(
             0.15 * kappa < d_star < 0.3 * kappa)
-    else:
-        checks["gamma_extremum_near_expected_detuning"] = False
 
     report = {"checks": checks, "sweep_points": num,
               "parameters": {"chi": chi, "eta": eta, "kappa": kappa,

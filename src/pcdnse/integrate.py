@@ -468,6 +468,9 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
 
     Raises
     ------
+    ValueError
+        If ``initial_state`` is not a one-dimensional finite array, or the
+        linear part or the snapshot times do not fit the problem.
     StepUnderflowError
         If error control forces the step below the resolution of the time
         variable (typically a sign of a defective or singular RHS).
@@ -481,6 +484,8 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
     y = np.array(problem.initial_state, copy=True)
     if y.ndim != 1:
         raise ValueError("initial_state must be one-dimensional")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("initial_state must be finite")
     if (problem.linear is not None
             and np.shape(problem.linear.eigenvalues) != y.shape):
         raise ValueError("linear.eigenvalues must have the state's shape")

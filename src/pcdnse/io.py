@@ -11,7 +11,7 @@ snapshot's float lists in JSON are joined ``float.__repr__`` strings.  The
 bytes are exactly those of ``%.17g`` per value and of
 ``json.dumps(payload, indent=2, sort_keys=True)``.  The CSV reader parses
 all data rows in one ``np.loadtxt`` call.  Both readers raise ``ValueError``
-for a malformed file.
+for a malformed file and for a psi value that is not finite.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ def read_field_csv(path: str | Path) -> FieldState:
 
     One header row (a line that starts with a letter or a quote) may come
     before the data; any other line that is not a ``#`` comment is a data
-    row.  A malformed data row raises ``ValueError`` naming its line in the
-    file.
+    row.  A malformed data row, or one whose psi is NaN or infinite,
+    raises ``ValueError`` naming its line in the file.
     """
     path = Path(path)
     meta: dict[str, str] = {}
@@ -166,6 +166,10 @@ def read_field_csv(path: str | Path) -> FieldState:
     if data.shape[1] != 3:
         raise ValueError(f"data rows have {data.shape[1]} fields, "
                          "expected 3 (x, re_psi, im_psi)")
+    finite = np.isfinite(data[:, 1:]).all(axis=1)
+    if not finite.all():
+        number = line_numbers[int(np.argmin(finite))]
+        raise ValueError(f"line {number}: psi is not finite")
     return FieldState(_complex(data[:, 1], data[:, 2]),
                       float(meta["domain_length"]),
                       meta.get("boundary", PERIODIC))
@@ -212,6 +216,8 @@ def read_field_json(path: str | Path) -> FieldState:
         raise ValueError("re_psi and im_psi must hold numbers only")
     if re.shape != im.shape:
         raise ValueError("re_psi and im_psi differ in shape")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("re_psi and im_psi must be finite")
     return FieldState(_complex(re, im), domain_length, boundary)
 
 

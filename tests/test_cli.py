@@ -2,13 +2,14 @@
 determinism of serialized runs.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcdnse import cli
+from pcdnse import cli, experiments
 from pcdnse.cli import OUTPUT_DIR_ENV, main
 from pcdnse.collective import SolitonCoords
 from pcdnse.io import write_field_csv, write_field_json
@@ -331,6 +332,65 @@ def test_malformed_snapshot_is_a_configuration_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "configuration error" in err and str(snap) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+@pytest.mark.parametrize("suffix, value, where", [
+    (".csv", "nan", "line 11: psi is not finite"),
+    (".csv", "-inf", "line 11: psi is not finite"),
+    (".json", "NaN", "must be finite"),
+    (".json", "Infinity", "must be finite"),
+])
+def test_non_finite_snapshot_is_a_configuration_error(tmp_path, capsys,
+                                                      command, suffix,
+                                                      value, where):
+    field = make_soliton_field(
+        SolitonCoords(psi=1.0, x0=20.0, v=0.1, w=1.0, d=0.0, phi=0.3),
+        40.0, 400)
+    if suffix == ".csv":
+        snap = write_field_csv(tmp_path / "snap.csv", field, {"t": "0"})
+        snap.write_text(_edit_row(snap.read_text(), lambda row: ",".join(
+            row.split(",")[:2] + [value])))
+    else:
+        snap = write_field_json(tmp_path / "snap.json", field)
+        payload = json.loads(snap.read_text())
+        payload["re_psi"][200] = float(value)
+        snap.write_text(json.dumps(payload))
+    if command == "fit":
+        argv = ["fit", "--input", str(snap)]
+    else:
+        # the cap bounds a solver that would accept the state: a NaN state
+        # rejects every step
+        cfg = write_config(tmp_path, small_config(
+            initial={"field_file": str(snap)},
+            run={"t_final": 0.5, "snapshots": 3,
+                 "solver": {"max_steps": 1000}}))
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and where in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_params_reports_only_the_checks_its_sweep_can_test(tmp_path,
+                                                           capsys):
+    # all detunings blue: no red points, no delta = 0, no extremum
+    assert main(["params", "--out", str(tmp_path / "blue"), "--delta-min",
+                 "0.5", "--delta-max", "2", "--num", "11"]) == 0
+    report = json.loads((tmp_path / "blue" / "report.json").read_text())
+    assert report["checks"] == {"gamma_odd_in_detuning": True}
+    assert "extremum" not in capsys.readouterr().out
+
+
+def test_params_with_a_failed_check_exits_4(tmp_path, capsys, monkeypatch):
+    effective_params = experiments.effective_params
+    monkeypatch.setattr(experiments, "effective_params", lambda res, chain:
+                        dataclasses.replace(effective_params(res, chain),
+                                            gamma=-abs(res.delta)))
+    assert main(["params", "--out", str(tmp_path / "p"), "--num", "101"]) == 4
+    out = capsys.readouterr().out
+    assert "red_detuning_gives_positive_gamma: FAIL" in out
 
 
 @pytest.mark.parametrize("grid", [

@@ -205,6 +205,15 @@ def test_problem_and_config_validation():
                   SolverConfig(snapshot_times=bad))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_solve_rejects_a_non_finite_initial_state(value):
+    # max_steps keeps a solver that accepts the state from stepping long:
+    # a NaN state rejects every trial step until the cap
+    with pytest.raises(ValueError, match="initial_state must be finite"):
+        solve(OdeProblem(decay, 0.0, 1.0, np.array([value, 1.0])),
+              SolverConfig(max_steps=1000))
+
+
 def test_method_aliases_resolve():
     a = solve(OdeProblem(decay, 0.0, 1.0, np.array([1.0])),
               SolverConfig(method="rk45_tsitouras"))

@@ -69,6 +69,36 @@ def test_malformed_csv_row_is_named_by_its_line(tmp_path, edit, message):
     assert "usecols" not in str(info.value)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda x, re, im: f"{x},nan,{im}",
+    lambda x, re, im: f"{x},{re},inf",
+    lambda x, re, im: f"{x},-Infinity,{im}",
+])
+def test_csv_row_with_a_non_finite_psi_is_named_by_its_line(tmp_path, edit):
+    path = write_field_csv(tmp_path / "field.csv",
+                           FieldState(np.ones(16, dtype=complex), 16.0),
+                           meta={"t": "0"})
+    lines = path.read_text().splitlines(keepends=True)
+    lines[10] = edit(*lines[10].rstrip("\n").split(",")) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="^line 11: psi is not finite"):
+        read_field_csv(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("re_psi", math.nan), ("im_psi", math.inf), ("re_psi", -math.inf),
+])
+def test_json_snapshot_with_a_non_finite_psi_is_rejected(tmp_path, key,
+                                                         value):
+    path = write_field_json(tmp_path / "field.json",
+                            FieldState(np.ones(16, dtype=complex), 16.0))
+    payload = json.loads(path.read_text())
+    payload[key][3] = value
+    path.write_text(json.dumps(payload))    # NaN, Infinity, -Infinity
+    with pytest.raises(ValueError, match="must be finite"):
+        read_field_json(path)
+
+
 @pytest.mark.parametrize("line, text", [
     (11, "nan_is_not_x,0.1,0.2"),      # a header row after the data
     (5, "x,re_psi,im_psi"),            # a second header row

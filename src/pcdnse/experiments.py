@@ -850,7 +850,10 @@ def _fig6_single_gamma(gamma: float) -> dict:
     psi0 = 1.0
     v0 = 0.5
     domain = 20.0 * w0
-    n_points = int(round(domain / 0.1))
+    # dx = 0.0998: 896 = 2^7 * 7 points, where round(domain / 0.1) = 894 =
+    # 2 * 3 * 149 would send every FFT through Bluestein's algorithm at
+    # about three times the cost per transform.
+    n_points = 896
     left = SolitonCoords(psi=psi0, x0=domain / 2.0 - 2.5 * w0, v=v0, w=w0,
                          d=0.0, phi=0.0)
     right = SolitonCoords(psi=psi0, x0=domain / 2.0 + 2.5 * w0, v=-v0, w=w0,

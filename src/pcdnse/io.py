@@ -11,7 +11,8 @@ snapshot's float lists in JSON are joined ``float.__repr__`` strings.  The
 bytes are exactly those of ``%.17g`` per value and of
 ``json.dumps(payload, indent=2, sort_keys=True)``.  The CSV reader parses
 all data rows in one ``np.loadtxt`` call.  Both readers raise ``ValueError``
-for a malformed file and for a psi value that is not finite.
+for a malformed file, for a psi value that is not finite and for an x value
+off the grid that the file's metadata define.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -95,6 +96,21 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _check_grid(x: np.ndarray, field: FieldState,
+                where: Callable[[int], str]) -> None:
+    """Raise ``ValueError`` at the first x that is not finite or lies more
+    than 1e-9 dx from ``field.x``, the grid the file's metadata define;
+    ``where(i)`` names the place of value i in the file.
+
+    The writers render ``field.x`` exactly, so their files always pass.
+    """
+    off = ~(np.abs(x - field.x) <= 1e-9 * field.dx)     # NaN counts as off
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValueError(f"{where(i)}: x = {x[i]:.17g} is not the grid "
+                         f"point {field.x[i]:.17g}")
+
+
 def write_field_csv(path: str | Path, field: FieldState,
                     meta: Mapping[str, str] | None = None) -> Path:
     """Write a field snapshot as CSV with grid metadata in header comments."""
@@ -130,8 +146,9 @@ def read_field_csv(path: str | Path) -> FieldState:
 
     One header row (a line that starts with a letter or a quote) may come
     before the data; any other line that is not a ``#`` comment is a data
-    row.  A malformed data row, or one whose psi is NaN or infinite,
-    raises ``ValueError`` naming its line in the file.
+    row.  A malformed data row, one whose psi is NaN or infinite, or one
+    whose x is off the grid the metadata define, raises ``ValueError``
+    naming its line in the file.
     """
     path = Path(path)
     meta: dict[str, str] = {}
@@ -170,9 +187,11 @@ def read_field_csv(path: str | Path) -> FieldState:
     if not finite.all():
         number = line_numbers[int(np.argmin(finite))]
         raise ValueError(f"line {number}: psi is not finite")
-    return FieldState(_complex(data[:, 1], data[:, 2]),
-                      float(meta["domain_length"]),
-                      meta.get("boundary", PERIODIC))
+    field = FieldState(_complex(data[:, 1], data[:, 2]),
+                       float(meta["domain_length"]),
+                       meta.get("boundary", PERIODIC))
+    _check_grid(data[:, 0], field, lambda i: f"line {line_numbers[i]}")
+    return field
 
 
 def write_field_json(path: str | Path, field: FieldState,
@@ -201,9 +220,15 @@ def write_field_json(path: str | Path, field: FieldState,
 
 
 def read_field_json(path: str | Path) -> FieldState:
+    """Read a snapshot written by :func:`write_field_json`.
+
+    A missing key, a psi value that is not finite, or an x value off the
+    grid the metadata define raises ``ValueError``.
+    """
     with Path(path).open() as fh:
         payload = json.load(fh)
     try:
+        x = np.asarray(payload["x"])
         re = np.asarray(payload["re_psi"])
         im = np.asarray(payload["im_psi"])
         domain_length = float(payload["domain_length"])
@@ -212,13 +237,15 @@ def read_field_json(path: str | Path) -> FieldState:
         raise ValueError(f"missing key {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"not a field snapshot: {exc}") from exc
-    if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
-        raise ValueError("re_psi and im_psi must hold numbers only")
-    if re.shape != im.shape:
-        raise ValueError("re_psi and im_psi differ in shape")
+    if any(a.dtype.kind not in "iuf" for a in (x, re, im)):
+        raise ValueError("x, re_psi and im_psi must hold numbers only")
+    if not x.shape == re.shape == im.shape:
+        raise ValueError("x, re_psi and im_psi differ in shape")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("re_psi and im_psi must be finite")
-    return FieldState(_complex(re, im), domain_length, boundary)
+    field = FieldState(_complex(re, im), domain_length, boundary)
+    _check_grid(x, field, lambda i: f"point {i}")
+    return field
 
 
 def write_table_csv(path: str | Path, columns: Mapping[str, np.ndarray]) -> Path:

@@ -23,7 +23,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from .collective import SolitonCoords
 from .integrate import LinearPart
@@ -224,5 +223,5 @@ def dispersion_part(template: FieldState, eff: EffectiveParams
     k = np.arange(n)
     s = np.sin(np.pi * np.minimum(k, n - k) / n)
     lam = -1j * (4.0 * eff.hopping / template.dx**2) * s * s
-    return LinearPart(lam, partial(scipy.fft.fft, norm="ortho"),
-                      partial(scipy.fft.ifft, norm="ortho"))
+    return LinearPart(lam, partial(np.fft.fft, norm="ortho"),
+                      partial(np.fft.ifft, norm="ortho"))

@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from .integrate import LinearPart, TimeSeries
 from .model_effective import _neighbour_sum
@@ -81,8 +80,8 @@ def hopping_part(res: ReservoirParams, chain: ChainParams) -> LinearPart | None:
     hopping i J (B_{n-1} + B_{n+1}) has the eigenvalues 2 i J cos(2 pi k/n).
     These are taken at min(k, n - k), so the pairs lam_k = lam_{n-k} are
     equal exactly and the solver exponentiates each value once.  Each
-    transform fills one new array: the cavity half is copied and only the
-    site half is transformed.  Open chains get ``None``.
+    transform fills one new array: the cavity half is copied and the site
+    half is transformed straight into it.  Open chains get ``None``.
     """
     if chain.boundary != PERIODIC:
         return None
@@ -97,11 +96,11 @@ def hopping_part(res: ReservoirParams, chain: ChainParams) -> LinearPart | None:
         def apply(y: np.ndarray) -> np.ndarray:
             out = np.empty(2 * half, dtype=complex)
             out[:half] = y[:half]
-            out[half:] = transform(y[half:], norm="ortho")
+            transform(y[half:], norm="ortho", out=out[half:])
             return out
         return apply
 
-    return LinearPart(lam, on_sites(scipy.fft.fft), on_sites(scipy.fft.ifft))
+    return LinearPart(lam, on_sites(np.fft.fft), on_sites(np.fft.ifft))
 
 
 def rotating_frame_to_effective(series: TimeSeries, res: ReservoirParams,

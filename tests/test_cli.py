@@ -303,6 +303,14 @@ MALFORMED_SNAPSHOTS = {
     # a row that starts with a letter is a header only before the data
     "header_row_after_data": (".csv", lambda t: _edit_row(
         t, lambda row: "nan_is_not_x,0.1,0.2")),
+    "nan_x": (".csv", lambda t: _edit_row(
+        t, lambda row: "nan," + row.split(",", 1)[1])),
+    "x_far_off_grid": (".csv", lambda t: _edit_row(
+        t, lambda row: "1e9," + row.split(",", 1)[1])),
+    "periodic_relabelled_open": (".csv", lambda t: t.replace(
+        "# boundary=periodic", "# boundary=open")),
+    "json_null_x": (".json", lambda t: json.dumps(
+        {**json.loads(t), "x": [None] * 400})),
     "json_missing_key": (".json", lambda t: json.dumps(
         {k: v for k, v in json.loads(t).items() if k != "re_psi"})),
     "invalid_json": (".json", lambda t: t[: len(t) // 2]),

@@ -1,24 +1,96 @@
-"""The package's import graph: what a fresh ``pcdnse`` process loads."""
+"""The package's import graph: what a fresh ``pcdnse`` process loads.
 
+The runtime needs numpy alone; scipy serves only as a test oracle.
+"""
+
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pcdnse
 
-#: scipy subpackages the runtime must not load; the soliton fit is numpy
-#: only, and scipy.fft is the one scipy module the package uses.
-UNWANTED = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
+#: Makes every import of scipy or a scipy submodule fail.
+BLOCK_SCIPY = textwrap.dedent("""
+    import sys
+
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is blocked")
+            return None
+
+    sys.meta_path.insert(0, NoScipy())
+""")
+
+#: Runs each command of the JSON list in sys.argv[1] through ``cli.main``
+#: and exits 1 unless every one returns 0.
+RUN_COMMANDS = textwrap.dedent("""
+    import json, sys
+    from pcdnse import cli
+    sys.exit(any([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+""")
+
+FIELD = {"effective": {"g": -2.0, "gamma": 0.05},
+         "initial": {"soliton": {"psi": 1.0, "x0": 20.0, "w": 1.0}},
+         "run": {"t_final": 0.5, "snapshots": 3}}
+LATTICE = {"microscopic": {"chi": 0.05, "eta": 1.0, "kappa": 1.0,
+                           "delta": -0.5},
+           "initial": {"soliton": {"psi": 0.5, "x0": 8.0, "w": 2.0}},
+           "run": {"t_final": 1.0, "solver": {"preset": "langevin"}}}
+CONFIGS = {
+    # periodic field runs step the dispersion in the Fourier basis
+    "periodic": {"model": "pcdnse", **FIELD,
+                 "grid": {"domain_length": 40.0, "n_points": 400}},
+    "open": {"model": "pcdnse", **FIELD,
+             "grid": {"domain_length": 40.0, "n_points": 400,
+                      "boundary": "open"}},
+    # a periodic cavity chain steps its hopping in the Fourier basis
+    "langevin": {"model": "langevin", **LATTICE, "sites": 16,
+                 "boundary": "periodic"},
+}
 
 
-def test_importing_the_package_and_cli_loads_no_heavy_scipy_module():
-    code = ("import sys, pcdnse, pcdnse.cli; "
-            f"print([m for m in {UNWANTED!r} if m in sys.modules])")
+def _run(code: str, *args: str, cwd: Path | None = None) -> str:
     src = str(Path(pcdnse.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          cwd=cwd, check=True, capture_output=True,
+                          text=True).stdout
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_importing_the_package_and_cli_loads_no_scipy_module():
+    out = _run("import sys, pcdnse, pcdnse.cli; print([m for m in "
+               "sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     assert out.strip() == "[]"
+
+
+def test_commands_run_and_write_the_same_bytes_without_scipy(tmp_path):
+    for name, cfg in CONFIGS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    commands = [["params", "--out", "out/params", "--num", "101"]]
+    commands += [["simulate", "--config", str(tmp_path / f"{name}.json"),
+                  "--out", f"out/{name}"] for name in CONFIGS]
+    commands.append(["fit", "--input", "out/periodic/snapshots/snap_0002.csv",
+                     "--out", "out/fit.json"])
+    trees = {}
+    for blocked in (True, False):
+        cwd = tmp_path / ("blocked" if blocked else "free")
+        cwd.mkdir()
+        _run((BLOCK_SCIPY if blocked else "") + RUN_COMMANDS,
+             json.dumps(commands), cwd=cwd)
+        trees[blocked] = _tree(cwd / "out")
+    assert set(trees[True]) >= {"params/sweep.csv", "fit.json",
+                                "periodic/manifest.json",
+                                "open/manifest.json",
+                                "langevin/manifest.json"}
+    assert trees[True] == trees[False]

@@ -99,6 +99,47 @@ def test_json_snapshot_with_a_non_finite_psi_is_rejected(tmp_path, key,
         read_field_json(path)
 
 
+def _relabel_x(text, x_of):
+    """The CSV text with every data row's x replaced by ``x_of(x)``."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line[0].isdigit():
+            x, rest = line.split(",", 1)
+            lines[i] = f"{x_of(float(x))!r},{rest}"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("x_of, boundary, line", [
+    (lambda x: math.nan, PERIODIC, 4),
+    (lambda x: 1e9, PERIODIC, 4),
+    (lambda x: x + 1.0, PERIODIC, 4),           # shifted by one dx
+    (lambda x: x, OPEN, 5),                     # a periodic grid, open label
+], ids=["nan", "far", "shifted", "relabelled_open"])
+def test_csv_x_off_the_metadata_grid_is_named_by_its_line(tmp_path, x_of,
+                                                          boundary, line):
+    path = write_field_csv(tmp_path / "field.csv",
+                           FieldState(np.ones(16, dtype=complex), 16.0))
+    path.write_text(_relabel_x(path.read_text().replace(
+        "# boundary=periodic", f"# boundary={boundary}"), x_of))
+    with pytest.raises(ValueError,
+                       match=f"^line {line}: x = .* is not the grid point"):
+        read_field_csv(path)
+
+
+@pytest.mark.parametrize("x", [
+    [None] * 16, [math.nan] * 16, [float(i + 1) for i in range(16)],
+], ids=["null", "nan", "shifted"])
+def test_json_x_off_the_metadata_grid_is_rejected(tmp_path, x):
+    path = write_field_json(tmp_path / "field.json",
+                            FieldState(np.ones(16, dtype=complex), 16.0))
+    payload = json.loads(path.read_text())
+    payload["x"] = x
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="x, re_psi and im_psi must hold "
+                       "numbers only|^point 0: x = .* is not the grid point"):
+        read_field_json(path)
+
+
 @pytest.mark.parametrize("line, text", [
     (11, "nan_is_not_x,0.1,0.2"),      # a header row after the data
     (5, "x,re_psi,im_psi"),            # a second header row

@@ -216,21 +216,24 @@ def stable_closed_form(
     """Exact solution of :func:`stable_rhs` at the given times.
 
     v(t) decays exponentially at rate Gamma J; x0 and phi follow by
-    quadrature.  Works for Gamma of either sign; Gamma = 0 reduces to free
-    motion.
+    quadrature, through ``expm1`` so that no digit is lost at small Gamma.
+    Works for Gamma of either sign; Gamma = 0 reduces to free motion.  A
+    value that is not finite raises :class:`FloatingPointError`.
     """
     t = np.asarray(times, dtype=float)
     j = ss.hopping
     rate = ss.damping_rate * j
     rotation = ss.g**2 * ss.particle_number**2 / (16.0 * j)
     v = v0 * np.exp(-rate * t)
-    if ss.damping_rate == 0.0:
+    if abs(ss.damping_rate) < np.finfo(float).tiny:   # zero or subnormal
         x = x0 + 2.0 * j * v0 * t
         phi = phi0 + (j * v0**2 + rotation) * t
     else:
-        x = x0 + (2.0 * v0 / ss.damping_rate) * (1.0 - np.exp(-rate * t))
+        x = x0 + 2.0 * v0 * -np.expm1(-rate * t) / ss.damping_rate
         phi = (phi0 + rotation * t
-               + v0**2 * (1.0 - np.exp(-2.0 * rate * t)) / (2.0 * ss.damping_rate))
+               + v0**2 * -np.expm1(-2.0 * rate * t) / (2.0 * ss.damping_rate))
+    if not np.isfinite([x, v, phi]).all():
+        raise FloatingPointError(f"trajectory not finite by t = {t.max()}")
     return x, v, phi
 
 

@@ -33,7 +33,6 @@ _DEFAULT_SOLVER_PRESET = {
     "lattice": "pcdnse",
     "langevin": "langevin",
     "collective": "collective",
-    "stable": "collective",
 }
 
 _SWEEP_RULE = {
@@ -176,12 +175,16 @@ def normalize_config(config: Mapping) -> dict:
             "field files apply to field/lattice models only")
     out["initial"] = starts
 
-    solver = out["run"]["solver"]
-    solver["preset"] = solver["preset"] or _DEFAULT_SOLVER_PRESET[model]
-    base = SOLVER_PRESETS[solver["preset"]]
-    for key, value in solver.items():
-        if value is None:
-            solver[key] = getattr(base, key)
+    solver = out["run"].pop("solver")
+    _expect(model != "stable" or not config["run"].get("solver"), "run.solver",
+            "not read by the stable model")
+    if model != "stable":
+        solver["preset"] = solver["preset"] or _DEFAULT_SOLVER_PRESET[model]
+        base = SOLVER_PRESETS[solver["preset"]]
+        for key, value in solver.items():
+            if value is None:
+                solver[key] = getattr(base, key)
+        out["run"]["solver"] = solver
     # absent sections, and the boundary of a model that has no lattice
     return {key: value for key, value in out.items() if value is not None
             and (key not in _READERS or model in _READERS[key])}

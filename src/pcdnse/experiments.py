@@ -34,7 +34,6 @@ from .collective import (
     StableSoliton,
     ansatz_energy,
     make_collective_ode,
-    make_stable_ode,
     stable_closed_form,
     stable_soliton,
 )
@@ -136,12 +135,12 @@ def run_simulation(config: Mapping, out_dir: str | Path) -> dict:
     cfg = normalize_config(config)
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always", ContainmentWarning)
-        eff, res, chain, start, solver = _build_run(cfg)
+        eff, res, chain, start, times, solver = _build_run(cfg)
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         files = [io.write_json(out_dir / "config_echo.json", cfg)]
-        result = _dispatch_run(cfg, eff, res, chain, start, solver, out_dir,
-                               files)
+        result = _dispatch_run(cfg, eff, res, chain, start, times, solver,
+                               out_dir, files)
         caught = [str(w.message) for w in wlist
                   if issubclass(w.category, ContainmentWarning)]
 
@@ -156,8 +155,8 @@ def run_simulation(config: Mapping, out_dir: str | Path) -> dict:
         return json.load(fh)
 
 
-def _diagnostics_and_flags(times, n_series, e_series, peak_series, gamma,
-                           out_dir, files) -> dict:
+def _diagnostics_and_flags(times, n_series, e_series, peak_series, out_dir,
+                           files) -> dict:
     files.append(io.write_table_csv(out_dir / "diagnostics.csv", {
         "t": times,
         "particle_number": np.asarray(n_series),
@@ -174,8 +173,6 @@ def _diagnostics_and_flags(times, n_series, e_series, peak_series, gamma,
         "particle_conserved": bool(particle_drift < 1e-6),
         "energy_drift": energy_drift,
     }
-    if gamma == 0.0:
-        diag["energy_conserved"] = bool(energy_drift < 1e-6)
     return diag
 
 
@@ -198,10 +195,10 @@ def read_snapshot(path: str | Path, where: str) -> FieldState:
 def _build_run(cfg: Mapping) -> tuple:
     """The typed inputs of a normalized run config: the effective, reservoir
     and chain parameters (the last two ``None`` without a ``microscopic``
-    section), the start state and the solver.
+    section), the start state, the snapshot times and the solver, if any.
 
-    A value the constructors reject raises :class:`ConfigError` naming the
-    config section it came from.
+    A value the constructors reject, or a size too large to allocate,
+    raises :class:`ConfigError` naming the config key it came from.
     """
     where = "microscopic" if "microscopic" in cfg else "effective"
     try:
@@ -217,19 +214,21 @@ def _build_run(cfg: Mapping) -> tuple:
             eff = effective_params(res, chain)
         else:
             eff = EffectiveParams(**cfg["effective"])
+        run = cfg["run"]
+        where = "run.snapshots"
+        times = np.linspace(0.0, run["t_final"], run["snapshots"])
         [(kind, spec)] = cfg["initial"].items()
         where = f"initial.{kind}"
         start = _start_state(cfg, eff, kind, spec)
         where = "run.solver"
-        run = cfg["run"]
-        solver = SolverConfig(
+        solver = None if "solver" not in run else SolverConfig(
             **{k: v for k, v in run["solver"].items() if k != "preset"},
-            snapshot_times=np.linspace(0.0, run["t_final"], run["snapshots"]))
+            snapshot_times=times)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"config[{where}]: {exc}") from exc
-    return eff, res, chain, start, solver
+    return eff, res, chain, start, times, solver
 
 
 def _start_state(cfg: Mapping, eff: EffectiveParams, kind: str, spec
@@ -258,9 +257,9 @@ def _start_state(cfg: Mapping, eff: EffectiveParams, kind: str, spec
     if model == "pcdnse":
         grid = cfg["grid"]
         domain_length, n_points = grid["domain_length"], grid["n_points"]
-        boundary = grid["boundary"]
+        boundary, size_key = grid["boundary"], "grid.n_points"
     else:
-        n_points, boundary = cfg["sites"], cfg["boundary"]
+        n_points, boundary, size_key = cfg["sites"], cfg["boundary"], "sites"
         domain_length = float(n_points if boundary == PERIODIC
                               else n_points - 1)
     if kind == "field_file":
@@ -273,7 +272,10 @@ def _start_state(cfg: Mapping, eff: EffectiveParams, kind: str, spec
                 f"does not match configured "
                 f"{(n_points, domain_length, boundary)}")
         return field
-    return make_soliton_field(coords, domain_length, n_points, boundary)
+    try:
+        return make_soliton_field(coords, domain_length, n_points, boundary)
+    except MemoryError as exc:
+        raise ConfigError(f"config[{size_key}]: {exc}") from exc
 
 
 def _field_problem(field0: FieldState, eff: EffectiveParams,
@@ -300,10 +302,10 @@ def _chain_problem(res: ReservoirParams, chain: ChainParams, psi0: np.ndarray,
                       linear=hopping_part(res, chain))
 
 
-def _dispatch_run(cfg, eff, res, chain, start, solver, out_dir,
+def _dispatch_run(cfg, eff, res, chain, start, times, solver, out_dir,
                   files) -> dict:
     model = cfg["model"]
-    t_end = solver.snapshot_times[-1]
+    t_end = times[-1]
     stats_dict: Callable[[TimeSeries], dict] = lambda series: {
         "accepted_steps": series.stats.n_accepted,
         "rejected_steps": series.stats.n_rejected,
@@ -325,15 +327,17 @@ def _dispatch_run(cfg, eff, res, chain, start, solver, out_dir,
         peak = [float(np.max(np.abs(f.psi))) for f in fields]
         _write_field_outputs(out_dir, fields, site_series.times, cfg, files)
         diag = _diagnostics_and_flags(site_series.times, n_series, e_series,
-                                      peak, eff.gamma, out_dir, files)
+                                      peak, out_dir, files)
         if model == "langevin":
-            diag.pop("energy_conserved", None)  # effective-frame energy only
             r1, r2 = weak_coupling_ratios(res, chain, max(peak))
             diag["weak_coupling"] = {
                 "r1": r1, "r2": r2,
                 "advisory_threshold": WEAK_COUPLING_ADVISORY,
                 "within_advisory": bool(max(r1, r2) < WEAK_COUPLING_ADVISORY),
             }
+        elif eff.gamma == 0.0:
+            # a langevin run's energy is the effective frame's only
+            diag["energy_conserved"] = bool(diag["energy_drift"] < 1e-6)
         return {"integrator": stats_dict(series), "diagnostics": diag}
 
     if model == "collective":
@@ -349,23 +353,18 @@ def _dispatch_run(cfg, eff, res, chain, start, solver, out_dir,
         e_series = [ansatz_energy(SolitonCoords(*row), eff)
                     for row in series.states.real]
         diag = _diagnostics_and_flags(series.times, n_series, e_series, psi,
-                                      eff.gamma, out_dir, files)
-        diag.pop("energy_conserved", None)  # energy falls even at gamma = 0 only if moving
+                                      out_dir, files)
         return {"integrator": stats_dict(series), "diagnostics": diag}
 
-    # stable: reduced three-coordinate flow on the stable manifold
+    # stable: the exact solution on the stable manifold; nothing integrated
     ss = start
     s = cfg["initial"]["stable"]
-    y0 = np.array([s["x0"], s["v"], s["phi"]])
-    problem = OdeProblem(make_stable_ode(ss), 0.0, t_end, y0)
-    series = solve(problem, solver)
-    x0_t, v_t, phi_t = series.states.real.T
+    x0_t, v_t, phi_t = stable_closed_form(times, s["x0"], s["v"], s["phi"], ss)
     files.append(io.write_table_csv(out_dir / "trajectory.csv", {
-        "t": series.times, "x0": x0_t, "v": v_t, "phi": phi_t,
+        "t": times, "x0": x0_t, "v": v_t, "phi": phi_t,
         "energy": np.array([ss.energy(v) for v in v_t]),
     }))
     return {
-        "integrator": stats_dict(series),
         "stable_soliton": {
             "particle_number": ss.particle_number, "width": ss.width,
             "amplitude": ss.amplitude, "damping_rate": ss.damping_rate,
@@ -396,7 +395,8 @@ def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
     if delta_min >= delta_max:
         raise ConfigError("delta_min must be below delta_max")
     try:
-        # numpy refuses a count too large to allocate with a ValueError
+        # numpy refuses a count beyond its index range with a ValueError,
+        # and one it cannot allocate with a MemoryError
         deltas = np.linspace(delta_min, delta_max, num)
         chain = ChainParams(hopping=hopping, anharmonicity=0.0, sites=2)
 
@@ -408,6 +408,8 @@ def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
         mirrored = np.array([effective(-delta).gamma for delta in deltas])
     except ValueError as exc:
         raise ConfigError(f"params sweep: {exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"params sweep: num = {num}: {exc}") from exc
     dg = np.array([eff.delta_g for eff in effs])
     gam = np.array([eff.gamma for eff in effs])
     out_dir = Path(out_dir)

@@ -213,9 +213,12 @@ def dispersion_part(template: FieldState, eff: EffectiveParams
     unitary discrete Fourier basis, with eigenvalues -(4/dx^2) sin^2(pi k/n),
     so i J Psi_xx has lam_k = -i (4J/dx^2) sin^2(pi k/n).  They are taken at
     min(k, n - k), so the pairs lam_k = lam_{n-k} are equal exactly and the
-    solver exponentiates each value once.  Open grids get ``None``: their
-    Laplacian is diagonalised by a DST-I, which costs far more per
-    transform than it saves at the grid sizes used here.
+    solver exponentiates each value once.  Open grids get ``None`` and take
+    plain steps.  Their Laplacian is diagonalised by a DST-I, one FFT of
+    2(n + 1) points, so its cost depends on the factors of n + 1: at the
+    reference n = 4000, n + 1 = 4001 is prime and the FFT runs through
+    Bluestein's algorithm.  A DST-I through ``numpy.fft`` (numpy 2.4, one
+    Xeon core) took 1.4 ms at n = 4000 and 0.11 ms at n = 4095.
     """
     if template.boundary != PERIODIC:
         return None

@@ -242,6 +242,72 @@ def test_simulate_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in err and "max_steps=5" in err
 
 
+def stable_config(**overrides):
+    cfg = {"model": "stable", "effective": {"g": -0.1, "gamma": 0.05},
+           "initial": {"stable": {"n_particles": 2.0, "v": 0.5}},
+           "run": {"t_final": 10.0, "snapshots": 6}}
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.mark.parametrize("run, flags", [
+    ({"t_final": 10.0, "solver": {"rtol": 1e-6}}, []),
+    ({"t_final": 10.0, "solver": {"method": "tsit5"}}, []),
+    ({"t_final": 10.0}, ["--rtol", "1e-6"]),
+    ({"t_final": 10.0}, ["--preset", "collective"]),
+])
+def test_a_solver_setting_on_the_stable_model_exits_2(tmp_path, capsys, run,
+                                                        flags):
+    # the stable model is written from its closed form: nothing to tune
+    out = tmp_path / "x"
+    path = write_config(tmp_path, stable_config(run=run))
+    assert main(["simulate", "--config", path, "--out", str(out),
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config[run.solver]: not read by the stable model" in err
+    assert not out.exists()
+
+
+def test_an_overflowing_stable_run_exits_3_and_writes_no_such_value(
+        tmp_path, capsys):
+    # anti-damped: v grows as exp(|Gamma| J t), which overflows by Jt = 100
+    cfg = stable_config(effective={"g": -1.0, "gamma": -1.0},
+                        initial={"stable": {"n_particles": 10.0, "v": 0.5}},
+                        run={"t_final": 100.0})
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 3
+    assert "FloatingPointError" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+    for written in out.rglob("*"):
+        text = written.read_text().lower()
+        assert "nan" not in text and "inf" not in text, written
+
+
+# 10**17 doubles are 711 PiB, more than any address space can map
+_UNALLOCATABLE = 10**17
+
+
+@pytest.mark.parametrize("cfg, key", [
+    (small_config(grid={"domain_length": 40.0, "n_points": _UNALLOCATABLE}),
+     "grid.n_points"),
+    (small_config(model="lattice", grid=None, sites=_UNALLOCATABLE),
+     "sites"),
+    (stable_config(model="collective",
+                   run={"t_final": 1.0, "snapshots": _UNALLOCATABLE}),
+     "run.snapshots"),
+], ids=["n_points", "sites", "snapshots"])
+def test_simulate_rejects_a_size_too_large_to_allocate(tmp_path, capsys, cfg,
+                                                       key):
+    cfg = {name: value for name, value in cfg.items() if value is not None}
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: config[{key}]: Unable to allocate" in err
+    assert not out.exists()
+
+
 def test_fit_command_stdout_and_file(tmp_path, capsys):
     coords = SolitonCoords(psi=1.0, x0=20.0, v=0.1, w=1.0, d=0.0, phi=0.3)
     snap = write_field_csv(tmp_path / "snap.csv",
@@ -451,6 +517,15 @@ def test_params_rejects_a_count_too_large_to_allocate(tmp_path, capsys):
     out = tmp_path / "p"
     assert main(["params", "--num", str(10**20), "--out", str(out)]) == 2
     assert "params sweep: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_params_rejects_a_count_it_cannot_allocate(tmp_path, capsys):
+    out = tmp_path / "p"
+    assert main(["params", "--num", str(_UNALLOCATABLE),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"params sweep: num = {_UNALLOCATABLE}: Unable to allocate" in err
     assert not out.exists()
 
 

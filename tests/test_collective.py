@@ -2,6 +2,7 @@
 manifold and its closed-form solution.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -145,6 +146,43 @@ def test_stable_closed_form_frictionless_branch():
     assert np.all(v == 0.5)
     rotation = ss.g**2 * ss.particle_number**2 / 16.0
     assert_allclose(phi, (0.25 + rotation) * t, rtol=1e-15)
+
+
+def _stable_reference(t, x0, v0, phi0, ss):
+    """The exact solution of stable_rhs in 50-digit decimal arithmetic,
+    from the exact values of the soliton's floats."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        dec = decimal.Decimal
+        j, rate, t = dec(ss.hopping), dec(ss.damping_rate), dec(t)
+        rotation = dec(ss.g) ** 2 * dec(ss.particle_number) ** 2 / (16 * j)
+        v = dec(v0) * (-rate * j * t).exp()
+        x = dec(x0) + 2 * dec(v0) * (1 - (-rate * j * t).exp()) / rate
+        phi = (dec(phi0) + rotation * t
+               + dec(v0) ** 2 * (1 - (-2 * rate * j * t).exp()) / (2 * rate))
+        return float(x), float(v), float(phi)
+
+
+@pytest.mark.parametrize("gamma", [1e-12, -1e-12, 1e-8, -1e-8, 0.05])
+def test_stable_closed_form_is_exact_to_rounding(gamma):
+    # 1 - exp(-Gamma J t) cancels at small Gamma; at gamma = 1e-12 it would
+    # cost x and phi about 8e-4 of their value
+    ss = stable_soliton(2.0, EffectiveParams(g=-0.1, gamma=gamma,
+                                             hopping=1.0))
+    times = np.array([0.0, 0.5, 2.5, 10.0])
+    got = stable_closed_form(times, 0.0, 0.5, 0.0, ss)
+    want = np.array([_stable_reference(t, 0.0, 0.5, 0.0, ss)
+                     for t in times]).T
+    for name, value, exact in zip(("x0", "v", "phi"), got, want):
+        assert np.all(np.abs(value - exact) <= 1e-14 * np.abs(exact)), name
+
+
+def test_stable_closed_form_refuses_an_overflowing_trajectory():
+    # anti-damped: exp(Gamma J t) overflows long before Jt = 100
+    ss = stable_soliton(10.0, EffectiveParams(g=-1.0, gamma=-1.0,
+                                              hopping=1.0))
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
+                                                   match="not finite"):
+        stable_closed_form(np.array([0.0, 100.0]), 0.0, 0.5, 0.0, ss)
 
 
 def test_ansatz_energy_agrees_with_stable_energy():

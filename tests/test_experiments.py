@@ -276,7 +276,8 @@ def test_integral_floats_are_integers():
 # - the langevin model needs 'microscopic';
 # - 'grid' is read by the pcdnse model only, 'sites' and 'boundary' by the
 #   lattice and langevin models only, and each reader needs its key;
-# - the stable model starts from 'initial.stable';
+# - the stable model starts from 'initial.stable' and takes no solver
+#   setting;
 # - 'initial.field_file' applies to the field models only.
 # Non-finite numbers are not JSON, and JSON numbers beyond the range of a
 # double have no float to parse into, so neither is drawn.
@@ -364,6 +365,8 @@ def _breaks_a_prose_rule(cfg) -> bool:
             or ("sites" in cfg) != lattice
             or ("boundary" in cfg and not lattice)
             or (model == "stable" and "stable" not in starts)
+            or (model == "stable" and isinstance(cfg.get("run"), dict)
+                and bool(cfg["run"].get("solver")))
             or ("field_file" in starts
                 and model not in ("pcdnse", "lattice", "langevin")))
 
@@ -564,6 +567,10 @@ def test_run_simulation_stable_matches_closed_form(tmp_path):
         "run": {"t_final": 10.0, "snapshots": 6},
     }
     manifest = run_simulation(cfg, tmp_path)
+    # written from the closed form: nothing is integrated, no solver is set
+    assert "integrator" not in manifest
+    echo = json.loads((tmp_path / "config_echo.json").read_text())
+    assert echo["run"] == {"t_final": 10.0, "snapshots": 6}
     ss = stable_soliton(2.0, EffectiveParams(g=-0.1, gamma=0.05, hopping=1.0))
     block = manifest["stable_soliton"]
     assert_allclose(block["width"], ss.width, rtol=1e-15)
@@ -571,10 +578,11 @@ def test_run_simulation_stable_matches_closed_form(tmp_path):
 
     table = np.genfromtxt(tmp_path / "trajectory.csv", delimiter=",",
                           names=True)
+    assert np.array_equal(table["t"], np.linspace(0.0, 10.0, 6))
     x_ref, v_ref, phi_ref = stable_closed_form(table["t"], 1.0, 0.5, 0.2, ss)
-    assert_allclose(table["x0"], x_ref, rtol=1e-6)
-    assert_allclose(table["v"], v_ref, rtol=1e-6)
-    assert_allclose(table["phi"], phi_ref, rtol=1e-6)
+    assert np.array_equal(table["x0"], x_ref)
+    assert np.array_equal(table["v"], v_ref)
+    assert np.array_equal(table["phi"], phi_ref)
     assert_allclose(table["energy"], [ss.energy(v) for v in table["v"]],
                     rtol=1e-12)
 

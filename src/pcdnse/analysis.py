@@ -115,24 +115,36 @@ class ProfileComparison:
     peak: float
 
 
-def _model_field(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _model_terms(x: np.ndarray, theta: np.ndarray
+                 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The ansatz m = A sech(s) e^{i Phi} at ``theta`` and its two factors
+    (sech(s), e^{i Phi}), s = u/|w| and Phi = u v + u^2 d + phi
+    (u = x - x0)."""
     amp, x0, v, w, d, phi = theta
     u = x - x0
-    wa = abs(w)
-    return amp * sech(u / wa) * np.exp(1j * (u * v + u * u * d + phi))
+    envelope = sech(u / abs(w))
+    phase = np.exp(1j * (u * v + u * u * d + phi))
+    return amp * envelope * phase, (envelope, phase)
 
 
-def _model_jacobian(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Derivatives of ``_model_field`` by (A, x0, v, w, d, phi), (n, 6).
+def _model_field(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    return _model_terms(x, theta)[0]
+
+
+def _model_jacobian(x: np.ndarray, theta: np.ndarray,
+                    factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Derivatives of ``_model_field`` by (A, x0, v, w, d, phi), (n, 6),
+    from the ``factors`` that ``_model_terms(x, theta)`` returns.
 
     With m = A sech(s) e^{i Phi}, s = (x - x0)/|w| and
     Phi = u v + u^2 d + phi (u = x - x0).
     """
     amp, x0, v, w, d, phi = theta
+    envelope, phase = factors
     u = x - x0
     wa = abs(w)
     s = u / wa
-    carrier = sech(s) * np.exp(1j * (u * v + u * u * d + phi))
+    carrier = envelope * phase
     m = amp * carrier
     tanh = np.tanh(s)
     jac = np.empty((len(x), 6), dtype=complex)
@@ -197,14 +209,16 @@ def _levenberg_marquardt(x: np.ndarray, psi: np.ndarray,
     parameters and whether that test stopped the iteration (False: the
     iteration cap did).
     """
-    r = _model_field(x, theta) - psi
+    # The Jacobian at an accepted point reuses the factors of its trial.
+    m, factors = _model_terms(x, theta)
+    r = m - psi
     cost = float(np.vdot(r, r).real)
     lam = _LM_LAMBDA0
     d2 = np.zeros(6)
     fresh = True
     for _ in range(_FIT_MAX_ITERATIONS):
         if fresh:
-            jac = _model_jacobian(x, theta)
+            jac = _model_jacobian(x, theta, factors)
             a = (jac.conj().T @ jac).real
             grad = (jac.conj().T @ r).real
             d2 = np.maximum(d2, np.diag(a))
@@ -213,11 +227,13 @@ def _levenberg_marquardt(x: np.ndarray, psi: np.ndarray,
         small = (math.sqrt(float(scale @ step**2))
                  <= _FIT_TOL * math.sqrt(float(scale @ theta**2)))
         trial = theta + step
-        r_trial = _model_field(x, trial) - psi
+        m_trial, factors_trial = _model_terms(x, trial)
+        r_trial = m_trial - psi
         cost_trial = float(np.vdot(r_trial, r_trial).real)
         fresh = cost_trial < cost
         if fresh:
             theta, r, cost = trial, r_trial, cost_trial
+            factors = factors_trial
             lam /= 10.0
         else:
             lam *= 10.0

@@ -222,8 +222,7 @@ def _build_run(cfg: Mapping) -> tuple:
         start = _start_state(cfg, eff, kind, spec)
         where = "run.solver"
         solver = None if "solver" not in run else SolverConfig(
-            **{k: v for k, v in run["solver"].items() if k != "preset"},
-            snapshot_times=times)
+            **{k: v for k, v in run["solver"].items() if k != "preset"})
     except ConfigError:
         raise
     except (ValueError, MemoryError) as exc:
@@ -260,8 +259,7 @@ def _start_state(cfg: Mapping, eff: EffectiveParams, kind: str, spec
         boundary, size_key = grid["boundary"], "grid.n_points"
     else:
         n_points, boundary, size_key = cfg["sites"], cfg["boundary"], "sites"
-        domain_length = float(n_points if boundary == PERIODIC
-                              else n_points - 1)
+        domain_length = n_points if boundary == PERIODIC else n_points - 1
     if kind == "field_file":
         field = read_snapshot(spec, "config[initial.field_file]")
         # %.17g round-trips, so a snapshot of this very grid matches exactly
@@ -274,38 +272,40 @@ def _start_state(cfg: Mapping, eff: EffectiveParams, kind: str, spec
         return field
     try:
         return make_soliton_field(coords, domain_length, n_points, boundary)
-    except MemoryError as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # numpy refuses a size beyond its index range with a ValueError and
+        # one it cannot allocate with a MemoryError; a lattice length beyond
+        # a double's range fails its conversion with an OverflowError
         raise ConfigError(f"config[{size_key}]: {exc}") from exc
 
 
 def _field_problem(field0: FieldState, eff: EffectiveParams,
-                   t_end: float) -> OdeProblem:
-    """The field flow from ``field0`` over [0, t_end].
+                   times: np.ndarray) -> OdeProblem:
+    """The field flow from ``field0``, recorded at ``times``.
 
     Periodic grids pass their dispersion as the linear part, so the solver
     steps it exactly; open grids take plain steps.
     """
-    return OdeProblem(make_pcdnse_ode(field0, eff), 0.0, t_end, field0.psi,
+    return OdeProblem(make_pcdnse_ode(field0, eff), times, field0.psi,
                       linear=dispersion_part(field0, eff))
 
 
 def _chain_problem(res: ReservoirParams, chain: ChainParams, psi0: np.ndarray,
-                   t_end: float) -> OdeProblem:
-    """The cavity-chain flow over [0, t_end] from sites ``psi0``, with
-    every cavity at its steady state.
+                   times: np.ndarray) -> OdeProblem:
+    """The cavity-chain flow from sites ``psi0``, with every cavity at its
+    steady state, recorded at ``times``.
 
     Periodic chains pass their cavity pole and hopping as the linear part,
     so the solver steps them exactly; open chains take plain steps.
     """
     y0 = np.concatenate([steady_state_cavities(res, len(psi0)), psi0])
-    return OdeProblem(make_full_ode(res, chain), 0.0, t_end, y0,
+    return OdeProblem(make_full_ode(res, chain), times, y0,
                       linear=hopping_part(res, chain))
 
 
 def _dispatch_run(cfg, eff, res, chain, start, times, solver, out_dir,
                   files) -> dict:
     model = cfg["model"]
-    t_end = times[-1]
     stats_dict: Callable[[TimeSeries], dict] = lambda series: {
         "accepted_steps": series.stats.n_accepted,
         "rejected_steps": series.stats.n_rejected,
@@ -315,12 +315,12 @@ def _dispatch_run(cfg, eff, res, chain, start, times, solver, out_dir,
     if model in ("pcdnse", "lattice", "langevin"):
         field0 = start
         if model == "langevin":
-            series = solve(_chain_problem(res, chain, field0.psi, t_end),
+            series = solve(_chain_problem(res, chain, field0.psi, times),
                            solver)
             site_series = rotating_frame_to_effective(series, res, chain)
         else:
             series = site_series = solve(
-                _field_problem(field0, eff, t_end), solver)
+                _field_problem(field0, eff, times), solver)
         fields = [field0.with_psi(s) for s in site_series.states]
         n_series = [particle_number(f) for f in fields]
         e_series = [field_energy(f, eff) for f in fields]
@@ -341,9 +341,8 @@ def _dispatch_run(cfg, eff, res, chain, start, times, solver, out_dir,
         return {"integrator": stats_dict(series), "diagnostics": diag}
 
     if model == "collective":
-        problem = OdeProblem(make_collective_ode(eff), 0.0, t_end,
-                             start.to_array())
-        series = solve(problem, solver)
+        series = solve(OdeProblem(make_collective_ode(eff), times,
+                                  start.to_array()), solver)
         psi, x0, v, w, d, phi = series.states.real.T
         files.append(io.write_table_csv(out_dir / "trajectory.csv", {
             "t": series.times, "psi": psi, "x0": x0, "v": v, "w": w,
@@ -482,13 +481,13 @@ def _fig3_single_size(sites: int, delta: float) -> dict:
     r1, r2 = weak_coupling_ratios(res, chain, b_max)
 
     times = np.linspace(0.0, t_final, 3)
-    full_series = solve(_chain_problem(res, chain, field0.psi, t_final),
-                        solver_preset("langevin", snapshot_times=times))
+    full_series = solve(_chain_problem(res, chain, field0.psi, times),
+                        solver_preset("langevin"))
     site_series = rotating_frame_to_effective(full_series, res, chain)
 
     lattice_series = solve(
-        OdeProblem(make_chain_ode(eff, PERIODIC), 0.0, t_final, field0.psi),
-        solver_preset("pcdnse", snapshot_times=times))
+        OdeProblem(make_chain_ode(eff, PERIODIC), times, field0.psi),
+        solver_preset("pcdnse"))
 
     occ_langevin = np.abs(site_series.states[-1]) ** 2
     occ_lattice = np.abs(lattice_series.states[-1]) ** 2
@@ -556,8 +555,8 @@ def run_fig3a(out_dir: str | Path, full: bool = False) -> dict:
     field_ref = make_soliton_field(_REFERENCE_SOLITON, 400.0, 4000, PERIODIC)
     eff_ref = EffectiveParams(g=-0.1, gamma=0.05, hopping=1.0)
     ref_series = solve(
-        _field_problem(field_ref, eff_ref, 50.0),
-        solver_preset("pcdnse", snapshot_times=np.array([0.0, 25.0, 50.0])))
+        _field_problem(field_ref, eff_ref, np.array([0.0, 25.0, 50.0])),
+        solver_preset("pcdnse"))
     occ_ref = np.abs(ref_series.states[-1]) ** 2
 
     rows, failures = _run_jobs(
@@ -658,8 +657,7 @@ def _fig4_single_gamma(gamma: float) -> dict:
 
     times = np.linspace(0.0, 4.0, 9)
     preset = "pcdnse_tight" if tight else "pcdnse"
-    series = solve(_field_problem(field0, eff, 4.0),
-                   solver_preset(preset, snapshot_times=times))
+    series = solve(_field_problem(field0, eff, times), solver_preset(preset))
     estimate = velocity_damping_estimate(
         field0.with_psi(series.states[0]), field0.with_psi(series.states[-1]),
         series.times[0], series.times[-1], hopping=eff.hopping)
@@ -721,11 +719,10 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool) -> dict:
                                 PERIODIC, containment_tol=0.02)
 
     # Short field run: does the perturbed soliton keep its shape?
-    t_short = 500.0
     step, fit_stride = 2.5, 25.0
-    times = np.arange(0.0, t_short + 1e-9, step)
-    series = solve(_field_problem(field0, eff, t_short),
-                   solver_preset("pcdnse", snapshot_times=times))
+    times = np.arange(0.0, 500.0 + 1e-9, step)
+    series = solve(_field_problem(field0, eff, times),
+                   solver_preset("pcdnse"))
     peak_series = np.max(np.abs(series.states), axis=1)
 
     # Shape-integrity threshold: benign radiation shed while relaxing keeps
@@ -764,9 +761,9 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool) -> dict:
     window = 5e4 if full else 1e4
     stride = 50.0 if full else 5.0
     ctimes = np.arange(0.0, t_long + 1e-9, stride)
-    cseries = solve(OdeProblem(make_collective_ode(eff), 0.0, t_long,
+    cseries = solve(OdeProblem(make_collective_ode(eff), ctimes,
                                coords.to_array()),
-                    solver_preset("collective", snapshot_times=ctimes))
+                    solver_preset("collective"))
     psi_t = cseries.states.real[:, 0]
     env = envelope_deviation(cseries.times, psi_t, ss.amplitude, window)
     out["collective_times"] = cseries.times
@@ -868,10 +865,9 @@ def _fig6_single_gamma(gamma: float) -> dict:
                                  containment_tol=5e-3)
     field0 = f_left.with_psi(f_left.psi + f_right.psi)
 
-    t_end = 25.0
-    times = np.linspace(0.0, t_end, 101)
-    series = solve(_field_problem(field0, eff, t_end),
-                   solver_preset("two_soliton", snapshot_times=times))
+    times = np.linspace(0.0, 25.0, 101)
+    series = solve(_field_problem(field0, eff, times),
+                   solver_preset("two_soliton"))
     e_two = np.array([field_energy(field0.with_psi(s), eff)
                       for s in series.states])
 

@@ -22,14 +22,15 @@ through T^-1 and measured with the same norm as without a linear part, so
 rtol and atol keep their meaning.
 
 Step-size selection uses a PI controller (safety factor 0.9, growth factor
-clamped to [0.2, 5]).  A solve records its snapshot times exactly, t0 and
-t1 unless others are given: an accepted step from t to t_new records every
-snapshot in (t, t_new], those strictly inside from the pair's continuous
-extension [4] and one at t_new from the step itself.  Solves differ only
-in whether a step is clipped at the next snapshot.  Plain (not Lawson)
-tsit5 steps are not, so they follow the tolerance whatever the number of
-snapshots.  rkf78, which has no continuous extension, and Lawson steps
-are, so what they record are genuine step points.
+clamped to [0.2, 5]).  A problem states one time grid: the solve starts at
+its first entry, stops at its last and records every entry exactly.  An
+accepted step from t to t_new records every entry in (t, t_new], those
+strictly inside from the pair's continuous extension [4] and one at t_new
+from the step itself.  Solves differ only in whether a step is clipped at
+the next entry.  Plain (not Lawson) tsit5 steps are not, so they follow the
+tolerance whatever the number of entries.  rkf78, which has no continuous
+extension, and Lawson steps are, so what they record are genuine step
+points.
 
 References
 ----------
@@ -100,41 +101,42 @@ class LinearPart:
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """An initial value problem dy/dt = rhs(t, y) on [t0, t1].
+    """An initial value problem dy/dt = rhs(t, y), y(times[0]) =
+    initial_state, solved over ``times`` and recorded at each entry.
 
-    ``linear``, when given, names a part L y of ``rhs`` that is diagonal in
-    a known basis; ``rhs`` stays the whole right-hand side L y + N(t, y).
+    ``times`` is 1-d, holds at least two entries, and is finite and
+    strictly increasing.  ``linear``, when given, names a part L y of
+    ``rhs`` that is diagonal in a known basis; ``rhs`` stays the whole
+    right-hand side L y + N(t, y).
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    t0: float
-    t1: float
+    times: np.ndarray
     initial_state: np.ndarray
     linear: LinearPart | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
-            raise ValueError("t0 and t1 must be finite")
-        if self.t1 <= self.t0:
-            raise ValueError("t1 must exceed t0")
+        times = np.asarray(self.times, dtype=float)
+        if times.ndim != 1 or len(times) < 2:
+            raise ValueError("times must be 1-d with at least two entries")
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ValueError("times must be finite and strictly increasing")
+        object.__setattr__(self, "times", times)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Method choice and accuracy targets for :func:`solve`.
 
-    ``snapshot_times`` requests the recorded output grid; when ``None`` it
-    is [t0, t1].  rkf78 and Lawson solves clip a step at each snapshot;
-    plain tsit5 solves do not, and interpolate the snapshots inside their
-    steps (see the module docstring).  The local error is measured against
-    ``atol + rtol * |y|`` componentwise (RMS norm).
+    The local error is measured against ``atol + rtol * |y|``
+    componentwise (RMS norm); ``max_steps`` caps the accepted plus
+    rejected steps of one solve.
     """
 
     method: str = "tsit5"
     rtol: float = 1e-8
     atol: float = 1e-8
     max_steps: int = 1_000_000
-    snapshot_times: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         # a list or dict is no method name, and is unhashable
@@ -304,15 +306,14 @@ SOLVER_PRESETS: dict[str, SolverConfig] = {
 }
 
 
-def solver_preset(name: str, **overrides) -> SolverConfig:
-    """Return a named preset, optionally overriding individual fields."""
+def solver_preset(name: str) -> SolverConfig:
+    """Return a named preset."""
     try:
-        cfg = SOLVER_PRESETS[name]
+        return SOLVER_PRESETS[name]
     except KeyError:
         raise KeyError(
             f"unknown solver preset {name!r}; choose from {sorted(SOLVER_PRESETS)}"
         ) from None
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
@@ -457,20 +458,19 @@ class _LawsonStages:
 
 
 def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
-    """Integrate ``problem`` and return the recorded trajectory.
+    """Integrate ``problem`` over its time grid and return the trajectory.
 
-    Exactly the instants of ``snapshot_times`` are recorded, t0 and t1 when
-    it is ``None`` (they must lie in [t0, t1] and be strictly increasing);
-    integration stops at the last one.  Only the first may stand for t0
-    when it lies within 1e-12 of it.  With ``problem.linear`` set, the
-    steps are taken in Lawson form (see the module docstring).  Identical
-    inputs produce bit-identical output.
+    The solve starts at ``problem.times[0]``, stops at ``problem.times[-1]``
+    and records the state at every entry of ``problem.times``, which the
+    result's ``times`` equals bit for bit.  With ``problem.linear`` set,
+    the steps are taken in Lawson form (see the module docstring).
+    Identical inputs produce bit-identical output.
 
     Raises
     ------
     ValueError
         If ``initial_state`` is not a one-dimensional finite array, or the
-        linear part or the snapshot times do not fit the problem.
+        linear part does not fit it.
     StepUnderflowError
         If error control forces the step below the resolution of the time
         variable (typically a sign of a defective or singular RHS).
@@ -479,9 +479,8 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
         would be needed.
     """
     tab = _TABLEAUS[_METHOD_ALIASES[config.method]]
-    rhs = problem.rhs
-    t0, t1 = float(problem.t0), float(problem.t1)
-    y = np.array(problem.initial_state, copy=True)
+    rhs, times = problem.rhs, problem.times
+    y = np.asarray(problem.initial_state)
     if y.ndim != 1:
         raise ValueError("initial_state must be one-dimensional")
     if not np.all(np.isfinite(y)):
@@ -489,45 +488,24 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
     if (problem.linear is not None
             and np.shape(problem.linear.eigenvalues) != y.shape):
         raise ValueError("linear.eigenvalues must have the state's shape")
-    if not np.issubdtype(y.dtype, np.inexact):
-        y = y.astype(float)
-
-    requested = config.snapshot_times
-    snapshots = np.asarray((t0, t1) if requested is None else requested,
-                           dtype=float)
-    if snapshots.ndim != 1 or len(snapshots) == 0:
-        raise ValueError("snapshot_times must be a non-empty 1-d array")
-    if len(snapshots) > 1 and not np.all(np.diff(snapshots) > 0):
-        raise ValueError("snapshot_times must be strictly increasing")
-    if snapshots[0] < t0 - 1e-12 * max(1.0, abs(t0)) or snapshots[-1] > t1 + 1e-12 * max(1.0, abs(t1)):
-        raise ValueError("snapshot_times must lie within [t0, t1]")
+    # Steps come out in double precision, and complex in Lawson form.
+    y = y.astype(np.result_type(
+        y, float if problem.linear is None else complex))
 
     stats = SolveStats()
-    rec_times: list[float] = []
-    rec_states: list[np.ndarray] = []
+    t, t_end = float(times[0]), float(times[-1])
+    states = np.empty((len(times), y.size), y.dtype)
+    states[0] = y
+    out_idx = 1                          # the next entry to record
 
-    def record(t: float, state: np.ndarray) -> None:
-        rec_times.append(t)
-        rec_states.append(state.copy())
-
-    # Only the first snapshot may stand for t0; later ones are reached by
-    # stepping, so each is recorded at its own time.
-    out_idx = 0
-    if snapshots[0] <= t0 + 1e-12 * max(1.0, abs(t0)):
-        record(t0, y)
-        out_idx = 1
-    t_end = float(snapshots[-1])
-    if out_idx >= len(snapshots):
-        return TimeSeries(np.array(rec_times), np.array(rec_states), stats)
-
-    f0 = rhs(t0, y)
+    f0 = rhs(t, y)
     stats.n_rhs += 1
     if problem.linear is None:
         stages = _Stages(tab, rhs, stats, y, f0)
     else:
         stages = _LawsonStages(tab, rhs, problem.linear, stats, y, f0)
     # The one choice per solve: plain steps of a pair with a continuous
-    # extension run free, the others are clipped at each snapshot.
+    # extension run free, the others are clipped at each entry.
     dense_output = tab.dense is not None and problem.linear is None
 
     exponent = 1.0 / (tab.error_order + 1)
@@ -535,8 +513,7 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
     beta2 = 0.4 * exponent
     safety, fac_min, fac_max = 0.9, 0.2, 5.0
 
-    t = t0
-    dt = _initial_step(rhs, t0, y, f0, t_end, tab.error_order, config.atol,
+    dt = _initial_step(rhs, t, y, f0, t_end, tab.error_order, config.atol,
                        config.rtol, stats)
     err_prev = 1.0
 
@@ -550,8 +527,8 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
             raise StepUnderflowError(
                 f"step size {dt!r} underflowed at t={t!r}", stats)
 
-        # Clip to land exactly on the next output a step must reach.
-        target = t_end if dense_output else float(snapshots[out_idx])
+        # Clip to land exactly on the next entry a step must reach.
+        target = t_end if dense_output else float(times[out_idx])
         h = dt
         clipped = False
         if t + h >= target - tiny:
@@ -570,16 +547,17 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
                 factor = min(fac_max, max(
                     fac_min, safety * err**(-beta1) * err_prev**beta2))
             err_prev = max(err, 1e-4)
-            # Snapshots in (t, t_new) come from the interpolant, one at
-            # t_new from the step itself.
-            stop = int(np.searchsorted(snapshots, t_new, side="right"))
-            hit = stop > out_idx and float(snapshots[stop - 1]) == t_new
-            inner = snapshots[out_idx:stop - 1 if hit else stop]
-            if len(inner):
-                rec_times.extend(inner.tolist())
-                rec_states.extend(stages.interpolate(y, h, (inner - t) / h))
+            # Entries in (t, t_new) come from the interpolant, one at t_new
+            # from the step itself (t < t_new, so times[stop - 1] is
+            # recorded already unless it is t_new).
+            stop = int(np.searchsorted(times, t_new, side="right"))
+            hit = float(times[stop - 1]) == t_new
+            inner = slice(out_idx, stop - 1 if hit else stop)
+            if inner.stop > inner.start:
+                states[inner] = stages.interpolate(
+                    y, h, (times[inner] - t) / h)
             if hit:
-                record(t_new, y_new)
+                states[stop - 1] = y_new
             out_idx = stop
             t, y = t_new, y_new
             stages.accept()
@@ -589,16 +567,12 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
             stats.n_rejected += 1
             dt = h * min(1.0, max(fac_min, safety * err**(-exponent)))
 
-    return TimeSeries(np.array(rec_times), np.array(rec_states), stats)
+    return TimeSeries(times.copy(), states, stats)
 
 
 def solve_fixed_grid(problem: OdeProblem, config: SolverConfig,
                      n_outputs: int) -> TimeSeries:
-    """Integrate and record on a uniform grid of ``n_outputs`` points.
-
-    The grid spans [t0, t1] inclusive, so ``n_outputs >= 2``.
-    """
-    if n_outputs < 2:
-        raise ValueError("n_outputs must be >= 2")
-    grid = np.linspace(problem.t0, problem.t1, n_outputs)
-    return solve(problem, replace(config, snapshot_times=grid))
+    """Integrate over [times[0], times[-1]] of ``problem`` and record on a
+    uniform grid of ``n_outputs`` points, both ends included."""
+    grid = np.linspace(problem.times[0], problem.times[-1], n_outputs)
+    return solve(replace(problem, times=grid), config)

@@ -53,9 +53,9 @@ def reference_field_run():
     field0 = make_soliton_field(coords, 400.0, 4000, PERIODIC)
     times = np.linspace(0.0, 50.0, 201)
     series = solve(
-        OdeProblem(make_pcdnse_ode(field0, EFF), 0.0, 50.0, field0.psi,
+        OdeProblem(make_pcdnse_ode(field0, EFF), times, field0.psi,
                    linear=dispersion_part(field0, EFF)),
-        solver_preset("pcdnse", snapshot_times=times))
+        solver_preset("pcdnse"))
     fields = [field0.with_psi(s) for s in series.states]
     return series.times, fields
 
@@ -104,8 +104,8 @@ def test_criterion_02_lattice_occupation_conservation():
     field0 = make_soliton_field(coords, 800.0, 800, PERIODIC)
     times = np.linspace(0.0, 50.0, 11)
     series = solve(
-        OdeProblem(make_chain_ode(EFF, PERIODIC), 0.0, 50.0, field0.psi),
-        solver_preset("pcdnse", snapshot_times=times))
+        OdeProblem(make_chain_ode(EFF, PERIODIC), times, field0.psi),
+        solver_preset("pcdnse"))
     occ = np.array([float(np.sum(np.abs(s) ** 2)) for s in series.states])
     drift = float(np.max(np.abs(occ / occ[0] - 1.0)))
     print(f"criterion 2: max |sum|b|^2 drift| = {drift:.3e}  (bound 1e-6)")
@@ -153,9 +153,8 @@ def test_criterion_05_stable_soliton_fixed_point():
     ss = stable_soliton(2.0 * math.sqrt(20.0), EFF)
     times = np.linspace(0.0, 100.0, 21)
     series = solve(
-        OdeProblem(make_collective_ode(EFF), 0.0, 100.0,
-                   ss.coords().to_array()),
-        SolverConfig(rtol=1e-11, atol=1e-13, snapshot_times=times))
+        OdeProblem(make_collective_ode(EFF), times, ss.coords().to_array()),
+        SolverConfig(rtol=1e-11, atol=1e-13))
     psi = series.states.real[:, 0]
     w = series.states.real[:, 3]
     psi_dev = float(np.max(np.abs(psi / ss.amplitude - 1.0)))
@@ -172,9 +171,9 @@ def test_criterion_06_reduction_consistency():
     v0, x00 = 0.49, 100.0
     times = np.linspace(0.0, 50.0, 11)
     series = solve(
-        OdeProblem(make_collective_ode(EFF), 0.0, 50.0,
+        OdeProblem(make_collective_ode(EFF), times,
                    ss.coords(x0=x00, v=v0).to_array()),
-        SolverConfig(rtol=1e-12, atol=1e-14, snapshot_times=times))
+        SolverConfig(rtol=1e-12, atol=1e-14))
     x_ref, v_ref, _ = stable_closed_form(series.times, x00, v0, 0.0, ss)
     x_err = float(np.max(np.abs(series.states.real[:, 1] / x_ref - 1.0)))
     v_err = float(np.max(np.abs(series.states.real[:, 2] / v_ref - 1.0)))
@@ -262,8 +261,8 @@ def test_criterion_10_micro_oracles():
     series = solve(
         OdeProblem(make_chain_ode(EffectiveParams(g=0.0, hopping=1.0),
                                   PERIODIC),
-                   0.0, 5.0, np.array([1.0 + 0j, 0.0 + 0j])),
-        SolverConfig(rtol=1e-12, atol=1e-12, snapshot_times=times))
+                   times, np.array([1.0 + 0j, 0.0 + 0j])),
+        SolverConfig(rtol=1e-12, atol=1e-12))
     occ_err = float(np.max(np.abs(np.abs(series.states[:, 0]) ** 2
                                   - np.cos(2.0 * times) ** 2)))
     print(f"criterion 10: two-site max error = {occ_err:.3e}  (bound 1e-8)")

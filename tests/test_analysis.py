@@ -71,7 +71,8 @@ def test_fit_open_boundary_field():
 def test_model_jacobian_matches_central_differences(theta):
     x = np.linspace(-20.0, 20.0, 801)
     theta = np.array(theta)
-    jac = analysis._model_jacobian(x, theta)
+    jac = analysis._model_jacobian(x, theta,
+                                   analysis._model_terms(x, theta)[1])
     for j in range(6):
         h = 1e-6 * max(1.0, abs(theta[j]))
         up, down = theta.copy(), theta.copy()
@@ -90,12 +91,12 @@ def _dressed_soliton() -> FieldState:
         SolitonCoords(psi=1.0, x0=20.0, v=0.3, w=1.0, d=0.0, phi=0.4),
         40.0, 400)
     eff = EffectiveParams(g=-2.0, gamma=0.1)
-    series = solve(OdeProblem(make_pcdnse_ode(field0, eff), 0.0, 2.0,
+    series = solve(OdeProblem(make_pcdnse_ode(field0, eff), [0.0, 2.0],
                               field0.psi), solver_preset("pcdnse"))
     return field0.with_psi(series.states[-1])
 
 
-def _central_difference_jacobian(x, theta):
+def _central_difference_jacobian(x, theta, factors):
     jac = np.empty((len(x), 6), dtype=complex)
     for j in range(6):
         h = 1e-6 * max(1.0, abs(theta[j]))
@@ -139,7 +140,7 @@ def _breathing_soliton() -> FieldState:
         SolitonCoords(psi=1.5, x0=30.0, v=0.2, w=math.sqrt(2.0), d=0.0,
                       phi=0.0), 60.0, 601, OPEN)
     eff = EffectiveParams(g=-1.0, gamma=0.0)
-    series = solve(OdeProblem(make_pcdnse_ode(field0, eff), 0.0, 4.0,
+    series = solve(OdeProblem(make_pcdnse_ode(field0, eff), [0.0, 4.0],
                               field0.psi), solver_preset("pcdnse"))
     return field0.with_psi(series.states[-1])
 
@@ -165,7 +166,8 @@ def _least_squares_fit(field: FieldState) -> np.ndarray:
         return np.concatenate([r.real, r.imag])
 
     def jacobian(theta):
-        j = analysis._model_jacobian(x, theta)
+        j = analysis._model_jacobian(x, theta,
+                                     analysis._model_terms(x, theta)[1])
         return np.concatenate([j.real, j.imag])
 
     theta = least_squares(

@@ -55,7 +55,7 @@ def test_simulate_runs_are_bit_identical(tmp_path):
 
 @pytest.mark.parametrize("model", ["pcdnse", "collective"])
 def test_simulate_records_snapshots_closer_than_the_t0_slack(tmp_path, model):
-    # 5e-14 apart: within 1e-12 of t0, yet each is a snapshot of its own
+    # 5e-14 apart: each is stepped to and recorded as a snapshot of its own
     cfg = small_config(run={"t_final": 1e-13, "snapshots": 3})
     if model == "collective":
         cfg = {"model": "collective", "effective": cfg["effective"],
@@ -288,23 +288,37 @@ def test_an_overflowing_stable_run_exits_3_and_writes_no_such_value(
 _UNALLOCATABLE = 10**17
 
 
-@pytest.mark.parametrize("cfg, key", [
-    (small_config(grid={"domain_length": 40.0, "n_points": _UNALLOCATABLE}),
-     "grid.n_points"),
-    (small_config(model="lattice", grid=None, sites=_UNALLOCATABLE),
-     "sites"),
-    (stable_config(model="collective",
-                   run={"t_final": 1.0, "snapshots": _UNALLOCATABLE}),
-     "run.snapshots"),
-], ids=["n_points", "sites", "snapshots"])
+def _sized_configs(size: int) -> list:
+    """A field, a lattice and a collective run, each with one size key set
+    to ``size``, and that key."""
+    return [
+        (small_config(grid={"domain_length": 40.0, "n_points": size}),
+         "grid.n_points"),
+        (small_config(model="lattice", grid=None, sites=size), "sites"),
+        (stable_config(model="collective",
+                       run={"t_final": 1.0, "snapshots": size}),
+         "run.snapshots"),
+    ]
+
+
+# 10**19 lies beyond numpy's index range, 10**400 beyond a double's
+@pytest.mark.parametrize("cfg, key, size", [
+    (cfg, key, size)
+    for size in (_UNALLOCATABLE, 10**19, 10**400)
+    for cfg, key in _sized_configs(size)
+], ids=["n_points", "sites", "snapshots",
+        "n_points-1e19", "sites-1e19", "snapshots-1e19",
+        "n_points-1e400", "sites-1e400", "snapshots-1e400"])
 def test_simulate_rejects_a_size_too_large_to_allocate(tmp_path, capsys, cfg,
-                                                       key):
+                                                       key, size):
     cfg = {name: value for name, value in cfg.items() if value is not None}
     out = tmp_path / "x"
     assert main(["simulate", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"configuration error: config[{key}]: Unable to allocate" in err
+    assert f"configuration error: config[{key}]: " in err
+    if size == _UNALLOCATABLE:
+        assert f"config[{key}]: Unable to allocate" in err
     assert not out.exists()
 
 

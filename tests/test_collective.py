@@ -91,8 +91,9 @@ def test_particle_number_conserved_along_flow():
     coords = SolitonCoords(psi=0.9, x0=0.0, v=0.4, w=6.0, d=0.02, phi=0.0)
     n0 = coords.particle_number
     series = solve(
-        OdeProblem(make_collective_ode(EFF), 0.0, 20.0, coords.to_array()),
-        SolverConfig(rtol=1e-11, atol=1e-13, snapshot_times=[5.0, 20.0]),
+        OdeProblem(make_collective_ode(EFF), [0.0, 5.0, 20.0],
+                   coords.to_array()),
+        SolverConfig(rtol=1e-11, atol=1e-13),
     )
     for state in series.states:
         n = SolitonCoords.from_array(state).particle_number
@@ -103,10 +104,9 @@ def test_collective_flow_reduces_to_stable_rhs_on_the_manifold():
     ss = stable_soliton(2.0 * math.sqrt(20.0), EFF)
     v0 = 0.5
     series = solve(
-        OdeProblem(make_collective_ode(EFF), 0.0, 10.0,
+        OdeProblem(make_collective_ode(EFF), np.linspace(0.0, 10.0, 6),
                    ss.coords(x0=1.0, v=v0, phi=0.3).to_array()),
-        SolverConfig(rtol=1e-12, atol=1e-13,
-                     snapshot_times=list(np.linspace(0.0, 10.0, 6))),
+        SolverConfig(rtol=1e-12, atol=1e-13),
     )
     x_ref, v_ref, phi_ref = stable_closed_form(
         series.times, 1.0, v0, 0.3, ss)
@@ -125,9 +125,8 @@ def test_stable_closed_form_matches_its_own_ode():
     ss = stable_soliton(3.0, EffectiveParams(g=-0.2, gamma=0.1, hopping=1.0))
     times = [0.0, 2.5, 10.0, 25.0]
     series = solve(
-        OdeProblem(make_stable_ode(ss), 0.0, 25.0,
-                   np.array([-4.0, 0.7, 0.1])),
-        SolverConfig(rtol=1e-12, atol=1e-14, snapshot_times=times),
+        OdeProblem(make_stable_ode(ss), times, np.array([-4.0, 0.7, 0.1])),
+        SolverConfig(rtol=1e-12, atol=1e-14),
     )
     x_ref, v_ref, phi_ref = stable_closed_form(
         np.array(times), -4.0, 0.7, 0.1, ss)

@@ -45,7 +45,7 @@ def rotation(t, y):
 
 @pytest.mark.parametrize("method", ["tsit5", "rkf78"])
 def test_exponential_decay_matches_closed_form(method):
-    problem = OdeProblem(decay, 0.0, 5.0, np.array([1.0]))
+    problem = OdeProblem(decay, [0.0, 5.0], np.array([1.0]))
     series = solve(problem, SolverConfig(method=method, rtol=1e-10,
                                          atol=1e-12))
     assert series.times[0] == 0.0
@@ -57,7 +57,7 @@ def test_exponential_decay_matches_closed_form(method):
 def test_complex_rotation_preserves_modulus(method):
     y0 = np.array([1.0 + 0.0j, 0.3 - 0.4j])
     t1 = 4.0 * math.pi
-    series = solve(OdeProblem(rotation, 0.0, t1, y0),
+    series = solve(OdeProblem(rotation, [0.0, t1], y0),
                    SolverConfig(method=method, rtol=1e-10, atol=1e-12))
     assert_allclose(series.states[-1], y0 * np.exp(1j * t1), rtol=1e-8)
     assert_allclose(np.abs(series.states[-1]), np.abs(y0), rtol=1e-9)
@@ -65,7 +65,7 @@ def test_complex_rotation_preserves_modulus(method):
 
 @pytest.mark.parametrize("method", ["tsit5", "rkf78"])
 def test_tightening_tolerances_buys_accuracy(method):
-    problem = OdeProblem(decay, 0.0, 3.0, np.array([1.0]))
+    problem = OdeProblem(decay, [0.0, 3.0], np.array([1.0]))
     exact = math.exp(-3.0)
     errors = []
     for rtol in (1e-5, 1e-9):
@@ -79,9 +79,8 @@ def test_identical_inputs_give_bit_identical_output():
     times = np.linspace(0.0, 2.0, 9)
 
     def run():
-        return solve(OdeProblem(rotation, 0.0, 2.0,
-                                np.array([1.0 + 0.5j])),
-                     SolverConfig(snapshot_times=times))
+        return solve(OdeProblem(rotation, times, np.array([1.0 + 0.5j])),
+                     SolverConfig())
 
     a, b = run(), run()
     assert np.array_equal(a.times, b.times)
@@ -94,60 +93,36 @@ def nonlinear_rotation(t, y):
     return 1j * (1.0 + np.abs(y) ** 2) * y
 
 
-@pytest.mark.parametrize("method", ["tsit5", "rkf78"])
-@pytest.mark.parametrize("lawson", [False, True])
-def test_default_snapshots_are_the_interval_ends(method, lawson):
-    # no snapshot_times means [t0, t1]: the same steps, the same output
-    linear = None
-    if lawson:
-        linear = LinearPart(np.full(2, 1j), lambda y: y, lambda y: y)
-    problem = OdeProblem(nonlinear_rotation, 0.5, 3.0,
-                         np.array([1.0 + 0.5j, 0.2 - 0.1j]), linear=linear)
-    default = solve(problem, SolverConfig(method=method))
-    explicit = solve(problem, SolverConfig(method=method,
-                                           snapshot_times=[0.5, 3.0]))
-    assert np.array_equal(default.times, [0.5, 3.0])
-    assert np.array_equal(default.states, explicit.states)
-    assert default.stats == explicit.stats
-    assert default.stats.n_accepted > 1
-
-
-def test_snapshot_times_are_hit_exactly():
+def test_grid_times_are_hit_exactly():
     requested = np.array([0.0, 0.7, 1.1, math.pi, 4.0])
-    series = solve(OdeProblem(decay, 0.0, 4.0, np.array([1.0])),
-                   SolverConfig(snapshot_times=requested))
+    series = solve(OdeProblem(decay, requested, np.array([1.0])),
+                   SolverConfig())
     assert np.array_equal(series.times, requested)   # no interpolation slack
     assert_allclose(series.states[:, 0], np.exp(-requested), rtol=1e-6)
 
 
-def test_snapshots_need_not_reach_the_horizon():
-    series = solve(OdeProblem(decay, 0.0, 10.0, np.array([1.0])),
-                   SolverConfig(snapshot_times=[2.0, 3.0]))
-    assert series.times[-1] == 3.0   # integration stops at the last snapshot
-
-
 @pytest.mark.parametrize("kind", ["tsit5", "lawson", "rkf78"])
 def test_snapshots_within_the_t0_slack_keep_their_own_times(kind):
+    # entries 1e-13 apart are each stepped to and recorded at their own time
     requested = np.array([0.0, 1e-13, 2e-13])
     y0 = np.array([1.0 + 0.5j, 0.2 - 0.1j])
     linear = None
     if kind == "lawson":
         linear = LinearPart(np.array([0.5j, -1j]), lambda y: y, lambda y: y)
-    series = solve(OdeProblem(rotation, 0.0, 1.0, y0, linear=linear),
-                   SolverConfig(method="rkf78" if kind == "rkf78" else "tsit5",
-                                snapshot_times=requested))
+    method = "rkf78" if kind == "rkf78" else "tsit5"
+    series = solve(OdeProblem(rotation, requested, y0, linear=linear),
+                   SolverConfig(method=method))
     assert np.array_equal(series.times, requested)
     assert_allclose(series.states, y0 * np.exp(1j * requested)[:, None],
                     rtol=1e-15)
 
 
 def test_solve_fixed_grid_spans_inclusive_range():
-    series = solve_fixed_grid(OdeProblem(decay, 0.0, 1.0, np.array([1.0])),
-                              SolverConfig(), n_outputs=5)
+    problem = OdeProblem(decay, [0.0, 0.5, 1.0], np.array([1.0]))
+    series = solve_fixed_grid(problem, SolverConfig(), n_outputs=5)
     assert_allclose(series.times, np.linspace(0.0, 1.0, 5), rtol=0, atol=0)
     with pytest.raises(ValueError):
-        solve_fixed_grid(OdeProblem(decay, 0.0, 1.0, np.array([1.0])),
-                         SolverConfig(), n_outputs=1)
+        solve_fixed_grid(problem, SolverConfig(), n_outputs=1)
 
 
 def test_rejections_are_counted():
@@ -155,7 +130,7 @@ def test_rejections_are_counted():
     def kicked(t, y):
         return -y + 50.0 * math.exp(-50.0 * (t - 1.0) ** 2)
 
-    series = solve(OdeProblem(kicked, 0.0, 2.0, np.array([1.0])),
+    series = solve(OdeProblem(kicked, [0.0, 2.0], np.array([1.0])),
                    SolverConfig(rtol=1e-10, atol=1e-12))
     stats = series.stats
     assert stats.n_rejected >= 1
@@ -163,7 +138,7 @@ def test_rejections_are_counted():
 
 
 def test_max_steps_exceeded():
-    problem = OdeProblem(rotation, 0.0, 1000.0, np.array([1.0 + 0j]))
+    problem = OdeProblem(rotation, [0.0, 1000.0], np.array([1.0 + 0j]))
     with pytest.raises(MaxStepsExceededError) as excinfo:
         solve(problem, SolverConfig(max_steps=5))
     assert "max_steps=5" in str(excinfo.value)
@@ -176,18 +151,16 @@ def test_step_underflow_on_defective_rhs():
         return np.array([math.nan if t > 0.5 else 1.0])
 
     with pytest.raises(StepUnderflowError):
-        solve(OdeProblem(broken, 0.0, 1.0, np.array([0.0])), SolverConfig())
+        solve(OdeProblem(broken, [0.0, 1.0], np.array([0.0])), SolverConfig())
 
 
 def test_problem_and_config_validation():
     with pytest.raises(ValueError):
-        OdeProblem(decay, 1.0, 1.0, np.array([1.0]))       # empty interval
-    with pytest.raises(ValueError):
-        solve(OdeProblem(decay, 0.0, 1.0, np.zeros((2, 2))),
+        solve(OdeProblem(decay, [0.0, 1.0], np.zeros((2, 2))),
               SolverConfig())                               # not 1-d
     two_modes = LinearPart(np.zeros(2), np.fft.fft, np.fft.ifft)
     with pytest.raises(ValueError):
-        solve(OdeProblem(rotation, 0.0, 1.0, np.ones(3, dtype=complex),
+        solve(OdeProblem(rotation, [0.0, 1.0], np.ones(3, dtype=complex),
                          linear=two_modes), SolverConfig())  # 3 components
     with pytest.raises(ValueError):
         SolverConfig(method="euler")
@@ -199,10 +172,54 @@ def test_problem_and_config_validation():
                        {"atol": math.nan}, {"atol": math.inf}):
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(**tolerances)
-    for bad in ([], [2.0, 1.0], [-1.0, 0.5], [0.5, 99.0]):
-        with pytest.raises(ValueError):
-            solve(OdeProblem(decay, 0.0, 1.0, np.array([1.0])),
-                  SolverConfig(snapshot_times=bad))
+
+
+@pytest.mark.parametrize("times", [
+    [[0.0, 1.0]], np.zeros((2, 2)),                     # not 1-d
+    [], [0.0],                                          # fewer than two
+    [0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0],  # not finite
+    [1.0, 1.0], [0.0, 1.0, 1.0], [2.0, 1.0],            # not increasing
+])
+def test_problem_rejects_a_time_grid_it_cannot_step(times):
+    with pytest.raises(ValueError, match="times must be"):
+        OdeProblem(decay, times, np.array([1.0]))
+
+
+def _tsit5_step_ends(y0, t_end):
+    """The end times of the accepted steps of a plain tsit5 solve of
+    nonlinear_rotation over [0, t_end]."""
+    calls = []
+
+    def recorded(t, y):
+        calls.append(t)
+        return nonlinear_rotation(t, y)
+
+    series = solve(OdeProblem(recorded, [0.0, t_end], y0), SolverConfig())
+    # Two calls start the solve; then each step makes six, the last at its
+    # end (see test_interpolated_snapshots_are_as_accurate_as_the_steps).
+    assert series.stats.n_rejected == 0
+    return calls[7::6]
+
+
+@pytest.mark.parametrize("kind", ["tsit5", "lawson", "rkf78"])
+def test_solve_records_exactly_the_problem_times(kind):
+    # One entry inside the first step of a free tsit5 run, one on the end
+    # of its second: plain tsit5 interpolates the one and records the other
+    # from the step, rkf78 and Lawson steps are clipped at both.
+    y0 = np.array([1.0 + 0.5j, 0.2 - 0.1j])
+    first, second = _tsit5_step_ends(y0, 3.0)[:2]
+    times = np.array([0.0, 0.5 * first, second, 3.0])
+    linear = None
+    if kind == "lawson":
+        linear = LinearPart(np.full(2, 1j), lambda y: y, lambda y: y)
+    problem = OdeProblem(nonlinear_rotation, times, y0, linear=linear)
+    series = solve(problem, SolverConfig(
+        method="rkf78" if kind == "rkf78" else "tsit5"))
+    assert np.array_equal(series.times, problem.times)
+    assert series.states.shape == (len(times), len(y0))
+    # |y| is conserved, so each component turns at its own fixed rate
+    exact = y0 * np.exp(1j * (1.0 + np.abs(y0) ** 2) * times[:, None])
+    assert_allclose(series.states, exact, rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -210,14 +227,14 @@ def test_solve_rejects_a_non_finite_initial_state(value):
     # max_steps keeps a solver that accepts the state from stepping long:
     # a NaN state rejects every trial step until the cap
     with pytest.raises(ValueError, match="initial_state must be finite"):
-        solve(OdeProblem(decay, 0.0, 1.0, np.array([value, 1.0])),
+        solve(OdeProblem(decay, [0.0, 1.0], np.array([value, 1.0])),
               SolverConfig(max_steps=1000))
 
 
 def test_method_aliases_resolve():
-    a = solve(OdeProblem(decay, 0.0, 1.0, np.array([1.0])),
+    a = solve(OdeProblem(decay, [0.0, 1.0], np.array([1.0])),
               SolverConfig(method="rk45_tsitouras"))
-    b = solve(OdeProblem(decay, 0.0, 1.0, np.array([1.0])),
+    b = solve(OdeProblem(decay, [0.0, 1.0], np.array([1.0])),
               SolverConfig(method="tsit5"))
     assert np.array_equal(a.states, b.states)
 
@@ -228,8 +245,8 @@ def test_preset_table_frozen():
     tight = solver_preset("pcdnse_tight")
     assert (tight.method, tight.rtol, tight.atol) == ("tsit5", 1e-13, 1e-12)
     assert solver_preset("langevin").method == "rkf78"
-    loose = solver_preset("pcdnse", rtol=1e-4)
-    assert loose.rtol == 1e-4                       # override wins
+    with pytest.raises(TypeError):
+        solver_preset("pcdnse", rtol=1e-4)          # a name, nothing else
     with pytest.raises(KeyError) as excinfo:
         solver_preset("dormand")
     assert "pcdnse" in str(excinfo.value)           # lists valid names
@@ -264,7 +281,7 @@ def test_lawson_steps_pure_dispersion_exactly(method):
     t1 = 2.0
     exact = linear.inverse(np.exp(linear.eigenvalues * t1)
                            * linear.forward(field.psi))
-    problem = OdeProblem(make_pcdnse_ode(field, eff), 0.0, t1, field.psi,
+    problem = OdeProblem(make_pcdnse_ode(field, eff), [0.0, t1], field.psi,
                          linear=linear)
     lawson = solve(problem, SolverConfig(method=method))
     assert_allclose(lawson.states[-1], exact,
@@ -287,10 +304,9 @@ def test_lawson_calls_rhs_once_per_counted_evaluation(method):
         return flow(t, y) + 20j * math.exp(-2000.0 * (t - 1.0) ** 2) * y
 
     times = np.linspace(0.0, 2.0, 9)                    # clipped steps
-    series = solve(OdeProblem(kicked, 0.0, 2.0, field.psi,
+    series = solve(OdeProblem(kicked, times, field.psi,
                               linear=dispersion_part(field, eff)),
-                   SolverConfig(method=method, rtol=1e-10, atol=1e-12,
-                                snapshot_times=times))
+                   SolverConfig(method=method, rtol=1e-10, atol=1e-12))
     assert np.array_equal(series.times, times)
     assert series.stats.n_rejected >= 1
     assert len(calls) == series.stats.n_rhs
@@ -298,10 +314,10 @@ def test_lawson_calls_rhs_once_per_counted_evaluation(method):
 
 def test_lawson_output_is_bit_identical_run_to_run():
     field, eff = small_field(-0.1, 0.05, 32.0, 64)
-    problem = OdeProblem(make_pcdnse_ode(field, eff), 0.0, 2.0, field.psi,
+    problem = OdeProblem(make_pcdnse_ode(field, eff),
+                         np.linspace(0.0, 2.0, 5), field.psi,
                          linear=dispersion_part(field, eff))
-    config = SolverConfig(snapshot_times=np.linspace(0.0, 2.0, 5))
-    a, b = solve(problem, config), solve(problem, config)
+    a, b = solve(problem, SolverConfig()), solve(problem, SolverConfig())
     assert np.array_equal(a.states, b.states)
     assert a.stats == b.stats
 
@@ -312,11 +328,11 @@ def test_lawson_agrees_with_a_tight_plain_solve():
     field, eff = small_field(-0.1, 0.05, 96.0, 480, v=0.48,
                              w=math.sqrt(20.0))
     times = np.linspace(0.0, 5.0, 11)
-    problem = OdeProblem(make_pcdnse_ode(field, eff), 0.0, 5.0, field.psi,
+    problem = OdeProblem(make_pcdnse_ode(field, eff), times, field.psi,
                          linear=dispersion_part(field, eff))
-    lawson = solve(problem, SolverConfig(snapshot_times=times))
+    lawson = solve(problem, SolverConfig())
     tight = solve(replace(problem, linear=None),
-                  SolverConfig(rtol=1e-12, atol=1e-12, snapshot_times=times))
+                  SolverConfig(rtol=1e-12, atol=1e-12))
     deviation = (np.max(np.abs(lawson.states - tight.states))
                  / np.max(np.abs(tight.states)))
     assert deviation < 5e-7
@@ -346,7 +362,10 @@ def test_tsit5_continuous_extension_meets_the_order_conditions(theta):
         assert abs(got - want) < 1e-14
 
 
-def fig5_collective_problem(delta):
+FIG5_TIMES = np.arange(0.0, 2e4 + 1e-9, 5.0)
+
+
+def fig5_collective_problem(delta, times=FIG5_TIMES):
     """fig5's long collective run: a stable soliton's amplitude kicked by
     delta, over Jt = 2e4 (see experiments._fig5_single_delta)."""
     eff = EffectiveParams(g=-0.1, gamma=0.1, hopping=1.0)
@@ -356,20 +375,15 @@ def fig5_collective_problem(delta):
     domain = 10.0 * max(ss.width, w0)
     coords = SolitonCoords(psi=psi0, x0=domain / 2.0, v=0.0, w=w0, d=0.0,
                            phi=0.0)
-    return OdeProblem(make_collective_ode(eff), 0.0, 2e4, coords.to_array())
-
-
-FIG5_TIMES = np.arange(0.0, 2e4 + 1e-9, 5.0)
+    return OdeProblem(make_collective_ode(eff), times, coords.to_array())
 
 
 def test_plain_tsit5_steps_do_not_depend_on_the_snapshots():
     # Measured: 133 accepted steps and 800 RHS calls either way; clipped at
     # every snapshot the run took 4003 steps and 24 020 calls.
-    problem = fig5_collective_problem(0.01)
-    dense = solve(problem, solver_preset("collective",
-                                         snapshot_times=FIG5_TIMES))
-    ends = solve(problem, solver_preset("collective",
-                                        snapshot_times=[0.0, 2e4]))
+    dense = solve(fig5_collective_problem(0.01), solver_preset("collective"))
+    ends = solve(fig5_collective_problem(0.01, [0.0, 2e4]),
+                 solver_preset("collective"))
     assert np.array_equal(dense.times, FIG5_TIMES)
     assert dense.stats == ends.stats
     assert dense.stats.n_accepted < 200
@@ -380,7 +394,7 @@ def test_plain_tsit5_steps_do_not_depend_on_the_snapshots():
 def test_interpolated_collective_run_matches_a_tight_reference(delta):
     # Measured: 1.3e-10 at delta = -0.1 and 4.1e-11 at delta = 0.01.
     problem = fig5_collective_problem(delta)
-    config = solver_preset("collective", snapshot_times=FIG5_TIMES)
+    config = solver_preset("collective")
     series = solve(problem, config)
     assert series.stats.n_accepted < 250       # 4001 snapshots interpolated
     reference = solve(problem, replace(config, rtol=1e-13, atol=1e-13))
@@ -400,9 +414,8 @@ def test_interpolated_snapshots_are_as_accurate_as_the_steps():
 
     config = SolverConfig(rtol=1e-8, atol=1e-8)
     times = np.linspace(0.0, 20.0, 401)
-    dense = solve(OdeProblem(recorded, 0.0, 20.0, y0),
-                  replace(config, snapshot_times=times))
-    ends = solve(OdeProblem(rotation, 0.0, 20.0, y0), config)
+    dense = solve(OdeProblem(recorded, times, y0), config)
+    ends = solve(OdeProblem(rotation, [0.0, 20.0], y0), config)
     assert dense.stats == ends.stats
     assert dense.stats.n_accepted < len(times) / 1.5
     # Two calls start the solve (rhs at t0 and the starting-step probe);
@@ -428,12 +441,11 @@ def test_clipped_solves_still_record_genuine_step_points(kind):
     field, eff = small_field(-0.1, 0.05, 32.0, 64)
     linear = dispersion_part(field, eff) if kind == "lawson" else None
     method = "rkf78" if kind == "rkf78" else "tsit5"
-    problem = OdeProblem(make_pcdnse_ode(field, eff), 0.0, 2.0, field.psi,
-                         linear=linear)
-    both = solve(problem, SolverConfig(method=method,
-                                       snapshot_times=[0.0, 0.7, 2.0]))
-    first = solve(problem, SolverConfig(method=method,
-                                        snapshot_times=[0.0, 0.7]))
+    problem = OdeProblem(make_pcdnse_ode(field, eff), [0.0, 0.7, 2.0],
+                         field.psi, linear=linear)
+    config = SolverConfig(method=method)
+    both = solve(problem, config)
+    first = solve(replace(problem, times=[0.0, 0.7]), config)
     assert np.array_equal(both.states[1], first.states[-1])
 
 
@@ -448,9 +460,8 @@ def test_plain_tsit5_calls_rhs_once_per_counted_evaluation():
         return flow(t, y) + 20j * math.exp(-2000.0 * (t - 1.0) ** 2) * y
 
     times = np.linspace(0.0, 2.0, 801)                  # interpolated
-    series = solve(OdeProblem(kicked, 0.0, 2.0, field.psi),
-                   SolverConfig(rtol=1e-10, atol=1e-12,
-                                snapshot_times=times))
+    series = solve(OdeProblem(kicked, times, field.psi),
+                   SolverConfig(rtol=1e-10, atol=1e-12))
     assert np.array_equal(series.times, times)
     assert series.stats.n_rejected >= 1
     assert series.stats.n_accepted < len(times)

@@ -121,10 +121,9 @@ def test_standing_soliton_only_rotates_its_phase():
     # tails at 3e-6 of peak: harmless here, below the shape error budget
     field0 = make_soliton_field(coords, 120.0, 1200, containment_tol=1e-5)
     t_end = 2.0
-    series = solve(OdeProblem(make_pcdnse_ode(field0, eff), 0.0, t_end,
+    series = solve(OdeProblem(make_pcdnse_ode(field0, eff), [0.0, t_end],
                               field0.psi),
-                   SolverConfig(rtol=1e-11, atol=1e-12,
-                                snapshot_times=[t_end]))
+                   SolverConfig(rtol=1e-11, atol=1e-12))
     final = series.states[-1]
     assert np.max(np.abs(np.abs(final) - np.abs(field0.psi))) < 2e-4
     peak = np.argmax(np.abs(field0.psi))
@@ -135,10 +134,9 @@ def test_standing_soliton_only_rotates_its_phase():
 def test_flow_conserves_particle_number_with_dissipation_on():
     coords = soliton(v=0.3)
     field0 = make_soliton_field(coords, 200.0, 1000)
-    series = solve(OdeProblem(make_pcdnse_ode(field0, EFF), 0.0, 5.0,
-                              field0.psi),
-                   SolverConfig(rtol=1e-10, atol=1e-12,
-                                snapshot_times=np.linspace(0.0, 5.0, 6)))
+    series = solve(OdeProblem(make_pcdnse_ode(field0, EFF),
+                              np.linspace(0.0, 5.0, 6), field0.psi),
+                   SolverConfig(rtol=1e-10, atol=1e-12))
     n = [particle_number(field0.with_psi(s)) for s in series.states]
     assert np.max(np.abs(np.asarray(n) / n[0] - 1.0)) < 1e-9
 
@@ -187,10 +185,9 @@ def test_energy_decay_rate_tracks_the_energy_slope():
     h = 1e-3
     for n_points in (1000, 2000):
         field0 = make_soliton_field(soliton(v=0.4), 200.0, n_points)
-        series = solve(OdeProblem(make_pcdnse_ode(field0, EFF), 0.0, 2 * h,
-                                  field0.psi),
-                       SolverConfig(rtol=1e-12, atol=1e-13,
-                                    snapshot_times=[0.0, h, 2 * h]))
+        series = solve(OdeProblem(make_pcdnse_ode(field0, EFF),
+                                  [0.0, h, 2 * h], field0.psi),
+                       SolverConfig(rtol=1e-12, atol=1e-13))
         energies = [field_energy(field0.with_psi(s), EFF)
                     for s in series.states]
         slope = (energies[2] - energies[0]) / (2 * h)

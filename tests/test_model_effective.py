@@ -82,10 +82,9 @@ def test_two_site_hopping_cycle():
     # occupation oscillates as cos^2(2Jt)
     eff = EffectiveParams(g=0.0, gamma=0.0, hopping=1.0)
     times = np.linspace(0.0, 2.0, 21)
-    series = solve(OdeProblem(make_chain_ode(eff, PERIODIC), 0.0, 2.0,
+    series = solve(OdeProblem(make_chain_ode(eff, PERIODIC), times,
                               np.array([1.0 + 0j, 0.0 + 0j])),
-                   SolverConfig(rtol=1e-12, atol=1e-12,
-                                snapshot_times=times))
+                   SolverConfig(rtol=1e-12, atol=1e-12))
     occ0 = np.abs(series.states[:, 0]) ** 2
     assert_allclose(occ0, np.cos(2.0 * times) ** 2, atol=1e-8)
 
@@ -93,9 +92,9 @@ def test_two_site_hopping_cycle():
 def test_flow_conserves_total_occupation(rng):
     eff = EffectiveParams(g=-0.1, gamma=0.05, hopping=1.0)
     b0 = random_complex(rng, 24, scale=0.4)
-    series = solve(OdeProblem(make_chain_ode(eff, PERIODIC), 0.0, 5.0, b0),
-                   SolverConfig(rtol=1e-10, atol=1e-12,
-                                snapshot_times=np.linspace(0.0, 5.0, 501)))
+    series = solve(OdeProblem(make_chain_ode(eff, PERIODIC),
+                              np.linspace(0.0, 5.0, 501), b0),
+                   SolverConfig(rtol=1e-10, atol=1e-12))
     norms = np.sum(np.abs(series.states) ** 2, axis=1)
     assert np.max(np.abs(norms / norms[0] - 1.0)) < 1e-10
 
@@ -105,9 +104,8 @@ def test_energy_flows_downhill_for_positive_gamma(rng, gamma, sign):
     eff = EffectiveParams(g=-0.1, gamma=gamma, hopping=1.0)
     b0 = random_complex(rng, 24, scale=0.6)
     times = np.linspace(0.0, 4.0, 41)
-    series = solve(OdeProblem(make_chain_ode(eff, PERIODIC), 0.0, 4.0, b0),
-                   SolverConfig(rtol=1e-11, atol=1e-13,
-                                snapshot_times=times))
+    series = solve(OdeProblem(make_chain_ode(eff, PERIODIC), times, b0),
+                   SolverConfig(rtol=1e-11, atol=1e-13))
     energies = np.array([chain_energy(b, eff, PERIODIC)
                          for b in series.states])
     steps = np.diff(energies)
@@ -118,9 +116,9 @@ def test_decay_rate_matches_energy_slope(rng):
     eff = EffectiveParams(g=-0.1, gamma=0.08, hopping=1.0)
     b0 = random_complex(rng, 20, scale=0.5)
     h = 1e-3
-    series = solve(OdeProblem(make_chain_ode(eff, PERIODIC), 0.0, 2 * h, b0),
-                   SolverConfig(rtol=1e-12, atol=1e-14,
-                                snapshot_times=[0.0, h, 2 * h]))
+    series = solve(OdeProblem(make_chain_ode(eff, PERIODIC),
+                              [0.0, h, 2 * h], b0),
+                   SolverConfig(rtol=1e-12, atol=1e-14))
     energies = [chain_energy(b, eff, PERIODIC) for b in series.states]
     slope = (energies[2] - energies[0]) / (2 * h)
     grad = chain_hamiltonian_gradient(eff.hopping, eff.g, PERIODIC)

@@ -51,9 +51,8 @@ def test_uncoupled_cavity_relaxes_at_half_kappa(rng):
     b0 = random_complex(rng, 4, scale=0.3)
     y0 = np.concatenate([a0, b0])
     times = np.linspace(0.0, 6.0, 7)
-    series = solve(OdeProblem(make_full_ode(res, chain), 0.0, 6.0, y0),
-                   SolverConfig(method="rkf78", rtol=1e-12, atol=1e-12,
-                                snapshot_times=times))
+    series = solve(OdeProblem(make_full_ode(res, chain), times, y0),
+                   SolverConfig(method="rkf78", rtol=1e-12, atol=1e-12))
     a_ss = steady_state_cavities(res, 4)
     pole = 1j * res.delta - res.kappa / 2.0
     for t, y in zip(series.times, series.states):
@@ -69,9 +68,9 @@ def test_site_occupation_is_conserved_despite_cavity_drive(rng):
     a0 = steady_state_cavities(RES, 8)
     b0 = random_complex(rng, 8, scale=0.4)
     y0 = np.concatenate([a0, b0])
-    series = solve(OdeProblem(make_full_ode(RES, chain), 0.0, 10.0, y0),
-                   SolverConfig(method="rkf78", rtol=1e-11, atol=1e-12,
-                                snapshot_times=np.linspace(0.0, 10.0, 101)))
+    series = solve(OdeProblem(make_full_ode(RES, chain),
+                              np.linspace(0.0, 10.0, 101), y0),
+                   SolverConfig(method="rkf78", rtol=1e-11, atol=1e-12))
     occ = np.sum(np.abs(series.states[:, 8:]) ** 2, axis=1)
     assert np.max(np.abs(occ / occ[0] - 1.0)) < 1e-10
 
@@ -147,12 +146,10 @@ def test_elimination_reproduces_site_dynamics_weak_coupling(rng):
 
     y0 = np.concatenate([steady_state_cavities(res, sites), b0])
     times = np.linspace(0.0, 2.0, 5)
-    full = solve(OdeProblem(make_full_ode(res, chain), 0.0, 2.0, y0),
-                 SolverConfig(method="rkf78", rtol=1e-12, atol=1e-12,
-                              snapshot_times=times))
-    reduced = solve(OdeProblem(make_chain_ode(eff), 0.0, 2.0, b0),
-                    SolverConfig(rtol=1e-11, atol=1e-13,
-                                 snapshot_times=times))
+    full = solve(OdeProblem(make_full_ode(res, chain), times, y0),
+                 SolverConfig(method="rkf78", rtol=1e-12, atol=1e-12))
+    reduced = solve(OdeProblem(make_chain_ode(eff), times, b0),
+                    SolverConfig(rtol=1e-11, atol=1e-13))
     occ_full = np.abs(rotating_frame_to_effective(full, res, chain).states)**2
     occ_red = np.abs(reduced.states) ** 2
     peak = occ_red.max()
@@ -193,14 +190,12 @@ def test_lawson_langevin_solve_matches_a_tight_plain_solve():
     y0 = np.concatenate([steady_state_cavities(RES, sites), b0])
     times = np.linspace(0.0, t_final, 5)
     rhs = make_full_ode(RES, chain)
-    lawson = solve(OdeProblem(rhs, 0.0, t_final, y0,
+    lawson = solve(OdeProblem(rhs, times, y0,
                               linear=hopping_part(RES, chain)),
-                   solver_preset("langevin", snapshot_times=times))
-    plain = solve(OdeProblem(rhs, 0.0, t_final, y0),
-                  solver_preset("langevin", snapshot_times=times))
-    tight = solve(OdeProblem(rhs, 0.0, t_final, y0),
-                  SolverConfig(method="rkf78", rtol=1e-13, atol=1e-13,
-                               snapshot_times=times))
+                   solver_preset("langevin"))
+    plain = solve(OdeProblem(rhs, times, y0), solver_preset("langevin"))
+    tight = solve(OdeProblem(rhs, times, y0),
+                  SolverConfig(method="rkf78", rtol=1e-13, atol=1e-13))
     scale = np.max(np.abs(tight.states))
     assert np.max(np.abs(lawson.states - tight.states)) < 1.5e-12 * scale
     assert lawson.stats.n_accepted < plain.stats.n_accepted / 2

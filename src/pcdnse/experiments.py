@@ -217,6 +217,11 @@ def _build_run(cfg: Mapping) -> tuple:
         run = cfg["run"]
         where = "run.snapshots"
         times = np.linspace(0.0, run["t_final"], run["snapshots"])
+        if not np.all(np.diff(times) > 0):
+            # a t_final near the smallest double repeats grid values
+            raise ConfigError(
+                f"config[run.t_final]: {run['t_final']!r} is too small to "
+                f"hold {run['snapshots']} distinct snapshot times")
         [(kind, spec)] = cfg["initial"].items()
         where = f"initial.{kind}"
         start = _start_state(cfg, eff, kind, spec)
@@ -303,15 +308,19 @@ def _chain_problem(res: ReservoirParams, chain: ChainParams, psi0: np.ndarray,
                       linear=hopping_part(res, chain))
 
 
-def _dispatch_run(cfg, eff, res, chain, start, times, solver, out_dir,
-                  files) -> dict:
-    model = cfg["model"]
-    stats_dict: Callable[[TimeSeries], dict] = lambda series: {
+def _solve_counts(series: TimeSeries) -> dict:
+    """The step and RHS counts of a solve, as reports and manifests name
+    them; they are deterministic, so reruns write the same values."""
+    return {
         "accepted_steps": series.stats.n_accepted,
         "rejected_steps": series.stats.n_rejected,
         "rhs_evaluations": series.stats.n_rhs,
     }
 
+
+def _dispatch_run(cfg, eff, res, chain, start, times, solver, out_dir,
+                  files) -> dict:
+    model = cfg["model"]
     if model in ("pcdnse", "lattice", "langevin"):
         field0 = start
         if model == "langevin":
@@ -338,7 +347,7 @@ def _dispatch_run(cfg, eff, res, chain, start, times, solver, out_dir,
         elif eff.gamma == 0.0:
             # a langevin run's energy is the effective frame's only
             diag["energy_conserved"] = bool(diag["energy_drift"] < 1e-6)
-        return {"integrator": stats_dict(series), "diagnostics": diag}
+        return {"integrator": _solve_counts(series), "diagnostics": diag}
 
     if model == "collective":
         series = solve(OdeProblem(make_collective_ode(eff), times,
@@ -353,7 +362,7 @@ def _dispatch_run(cfg, eff, res, chain, start, times, solver, out_dir,
                     for row in series.states.real]
         diag = _diagnostics_and_flags(series.times, n_series, e_series, psi,
                                       out_dir, files)
-        return {"integrator": stats_dict(series), "diagnostics": diag}
+        return {"integrator": _solve_counts(series), "diagnostics": diag}
 
     # stable: the exact solution on the stable manifold; nothing integrated
     ss = start
@@ -656,8 +665,8 @@ def _fig4_single_gamma(gamma: float) -> dict:
     predicted = stable_soliton(n, eff).damping_rate
 
     times = np.linspace(0.0, 4.0, 9)
-    preset = "pcdnse_tight" if tight else "pcdnse"
-    series = solve(_field_problem(field0, eff, times), solver_preset(preset))
+    solver = solver_preset("pcdnse_tight" if tight else "pcdnse")
+    series = solve(_field_problem(field0, eff, times), solver)
     estimate = velocity_damping_estimate(
         field0.with_psi(series.states[0]), field0.with_psi(series.states[-1]),
         series.times[0], series.times[-1], hopping=eff.hopping)
@@ -670,6 +679,8 @@ def _fig4_single_gamma(gamma: float) -> dict:
         "measured_rate": measured,
         "relative_error": abs(measured - predicted) / abs(predicted),
         "tight_tolerances": tight,
+        "method": solver.method,
+        **_solve_counts(series),
     }
 
 

@@ -1,5 +1,6 @@
 """The paired-benchmark summary of tools/bench_pairs.py: quartiles, win
-counts with ties, and the rule that calls a difference a gain.
+counts with ties, the rule that calls a difference a gain, and the check
+of the change's median against the metric's bound.
 """
 
 import importlib.util
@@ -65,3 +66,25 @@ def test_a_single_pair_has_degenerate_quartiles():
 def test_malformed_input_is_rejected(parent, change, better):
     with pytest.raises(ValueError):
         summarise(parent, change, better)
+
+
+@pytest.mark.parametrize("change_median, within", [
+    (2.4, True),                  # inside: 20 % worse than the parent
+    (2.5, True),                  # at the bound: exactly 25 % worse
+    (2.6, False),                 # beyond: 30 % worse
+])
+def test_within_bound_compares_the_medians_with_the_bound(change_median,
+                                                          within):
+    parent = [1.0, 2.0, 3.0]                          # median 2.0
+    change = [change_median - 1.0, change_median, change_median + 1.0]
+    out = summarise(parent, change, "lower", 0.25)
+    assert out["change"]["median"] == change_median
+    assert out["bound"] == 0.25
+    assert out["within_bound"] is within
+
+
+def test_within_bound_when_higher_is_better_allows_a_fall_by_the_bound():
+    parent = [1.0, 2.0, 3.0]                          # median 2.0
+    assert summarise(parent, [1.0, 1.5, 2.0], "higher", 0.25)["within_bound"]
+    assert not summarise(parent, [1.0, 1.4, 2.0], "higher",
+                         0.25)["within_bound"]

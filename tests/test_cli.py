@@ -65,6 +65,22 @@ def test_simulate_records_snapshots_closer_than_the_t0_slack(tmp_path, model):
     assert (tmp_path / "run" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("model", ["pcdnse", "collective"])
+def test_simulate_rejects_a_t_final_too_small_for_distinct_snapshots(
+        tmp_path, capsys, model):
+    # the smallest subnormal double: linspace(0, 5e-324, 5) repeats values
+    cfg = small_config(run={"t_final": 5e-324, "snapshots": 5})
+    if model == "collective":
+        cfg = {"model": "collective", "effective": cfg["effective"],
+               "initial": cfg["initial"], "run": cfg["run"]}
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert ("configuration error: config[run.t_final]: "
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_simulate_solver_flags_reach_the_integrator(tmp_path):
     cfg = write_config(tmp_path, small_config())
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a"),

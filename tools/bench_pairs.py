@@ -14,9 +14,11 @@ The result goes to ``BENCH_<label>.json`` at the root of the checkout and
 is rewritten after every pair, so an interrupted run keeps what it
 measured.  For each workload and end-to-end metric of ``BENCHMARK.json``
 it holds each side's samples, median and quartiles, the number of pairs
-the change won (ties count for neither) and whether that is a gain: a win
+the change won (ties count for neither), whether that is a gain (a win
 in at least nine pairs of ten and medians further apart than the
-parent's interquartile range.  Each side's failed and attempted
+parent's interquartile range) and whether the change's median stays
+within the metric's ``bound`` of the parent's: at most parent x (1 +
+bound) when lower is better.  Each side's failed and attempted
 verification items, the commands' exit codes and the environment line of
 the first run are kept beside them.
 """
@@ -44,9 +46,12 @@ def quartiles(samples: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarise(parent: list[float], change: list[float], better: str) -> dict:
+def summarise(parent: list[float], change: list[float], better: str,
+              bound: float = 0.0) -> dict:
     """Compare paired samples of one metric; ``parent[i]`` and
-    ``change[i]`` come from pair i.  ``better`` is "lower" or "higher"."""
+    ``change[i]`` come from pair i.  ``better`` is "lower" or "higher";
+    ``bound`` is the share of the parent's median by which the change's
+    may be worse and still count as within it."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of samples per side")
     if better not in ("lower", "higher"):
@@ -66,6 +71,8 @@ def summarise(parent: list[float], change: list[float], better: str) -> dict:
         "pairs": len(parent),
         "change_wins": wins,
         "gain": bool(wins >= 0.9 * len(parent) and gain > iqr),
+        "bound": bound,
+        "within_bound": bool(-gain <= bound * abs(sides["parent"]["median"])),
     }
 
 
@@ -109,8 +116,8 @@ def report(label: str, parent_rev: str, change_rev: str, seconds: int,
                 [p["parent"]["result"]["metrics"][name]["value"]
                  for p in complete],
                 [p["change"]["result"]["metrics"][name]["value"]
-                 for p in complete], better)
-            for name, better in metrics.items()} if complete else {}
+                 for p in complete], better, bound)
+            for name, (better, bound) in metrics.items()} if complete else {}
         doc["workloads"][workload] = entry
     return doc
 
@@ -135,7 +142,8 @@ def main() -> int:
         ap.error("--pairs must be >= 1")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"])
+               for m in bench["end_to_end"]}
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     parent_rev = git("rev-parse", args.parent)
     change_rev = git("rev-parse", "HEAD")

@@ -630,6 +630,27 @@ def test_output_dir_precedence(tmp_path, monkeypatch):
     assert (tmp_path / "from_config" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["params", "--num", "11"],
+    ["simulate"],
+    ["experiment", "fig4"],
+], ids=["params", "simulate", "experiment"])
+@pytest.mark.parametrize("under_file", [False, True],
+                         ids=["file", "under_file"])
+def test_an_output_directory_that_cannot_be_made_exits_2(
+        tmp_path, capsys, command, under_file):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    out = taken / "out" if under_file else taken
+    if command == ["simulate"]:
+        command = command + ["--config", write_config(tmp_path, small_config())]
+    assert main(command + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(out) in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "a file, not a directory\n"
+
+
 def test_experiment_command(tmp_path, capsys):
     rc = main(["experiment", "fig2", "--out", str(tmp_path / "fig2")])
     assert rc == 0

@@ -8,8 +8,9 @@ Output directory precedence: ``--out`` flag, then the ``PCDNSE_OUTPUT_DIR``
 environment variable, then the config file's ``output.directory``, then
 ``./out/<name>``.  Exit codes: 0 on success, 2 on configuration errors
 (a missing or malformed snapshot file among them, or one holding a NaN or
-infinite value), 3 on numerical failures, 4 when the report of ``params``
-or ``experiment`` has a failed check or a failed sub-run.
+infinite value, and an ``--out`` that cannot be written), 3 on numerical
+failures, 4 when the report of ``params`` or ``experiment`` has a failed
+check or a failed sub-run.
 """
 
 from __future__ import annotations
@@ -136,7 +137,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         "converged": result.converged,
     }
     if args.out:
-        io.write_json(args.out, payload)
+        try:
+            io.write_json(args.out, payload)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot write {args.out}: "
+                              f"{exc.strerror or exc}") from exc
         print(f"fit written to {args.out}")
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -80,8 +80,12 @@ class SolitonCoords:
 
     @property
     def particle_number(self) -> float:
-        """N = 2 psi^2 w, conserved by the collective flow."""
-        return 2.0 * self.psi**2 * self.w
+        """N = 2 psi^2 w, conserved by the collective flow.
+
+        ``psi * psi``, unlike a scalar ``psi**2`` (libm's pow), is correctly
+        rounded, like numpy's ``psi**2`` of an array.
+        """
+        return 2.0 * (self.psi * self.psi) * self.w
 
     def to_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in COORD_ORDER])

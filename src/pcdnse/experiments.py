@@ -370,9 +370,9 @@ def _dispatch_run(cfg, eff, res, chain, start, times, solver, out_dir,
             "t": series.times, "psi": psi, "x0": x0, "v": v, "w": w,
             "d": d, "phi": phi,
         }))
-        n_series = 2.0 * psi**2 * w
-        e_series = [ansatz_energy(SolitonCoords(*row), eff)
-                    for row in series.states.real]
+        coords = [SolitonCoords(*row) for row in series.states.real]
+        n_series = [c.particle_number for c in coords]
+        e_series = [ansatz_energy(c, eff) for c in coords]
         diag = _diagnostics_and_flags(series.times, n_series, e_series, psi,
                                       out_dir, files)
         return {"integrator": _solve_counts(series), "diagnostics": diag}

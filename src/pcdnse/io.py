@@ -7,12 +7,11 @@ exactly.  Identical runs therefore produce byte-identical files.
 Values are rendered and parsed in bulk rather than one call per float.  A
 CSV body is a single ``%`` operation over ``tolist()`` values, and a grid's
 x column, which depends only on the grid, is rendered once per grid.  A
-snapshot's float lists in JSON are joined ``float.__repr__`` strings.  The
-bytes are exactly those of ``%.17g`` per value and of
-``json.dumps(payload, indent=2, sort_keys=True)``.  The CSV reader parses
-all data rows in one ``np.loadtxt`` call.  Both readers raise ``ValueError``
-for a malformed file, for a psi value that is not finite and for an x value
-off the grid that the file's metadata define.
+snapshot's JSON float lists hold the same ``%.17g`` strings as its CSV, so
+``FLOAT_FORMAT`` is the one float renderer for table values.  The CSV reader
+parses all data rows in one ``np.loadtxt`` call.  Both readers raise
+``ValueError`` for a malformed file, for a psi value that is not finite and
+for an x value off the grid that the file's metadata define.
 """
 
 from __future__ import annotations
@@ -68,24 +67,24 @@ def _csv_rows(columns: Sequence[np.ndarray | tuple[str, ...]]) -> str:
     return ((",".join(specs) + "\n") * length) % tuple(cells)
 
 
-def _json_floats(values: np.ndarray) -> str:
-    """A float array as ``json.dumps(..., indent=2)`` renders it one level
-    deep: one ``float.__repr__`` per line, or ``NaN``/``Infinity``."""
-    if not len(values):
-        return "[]"
-    render = float.__repr__ if np.isfinite(values).all() else json.dumps
-    return "[\n    " + ",\n    ".join(map(render, values.tolist())) + "\n  ]"
+def _json_list(values: np.ndarray) -> str:
+    """A float array as a JSON list of ``FLOAT_FORMAT`` strings, or as
+    ``json.dumps`` renders it when it holds ``NaN`` or ``Infinity``."""
+    if not np.isfinite(values).all():
+        return json.dumps(values.tolist())
+    return "[" + ",".join([FLOAT_FORMAT] * len(values)) % tuple(
+        values.tolist()) + "]"
 
 
 @functools.lru_cache(maxsize=4)
 def _x_column(domain_length: float, n_points: int,
-              boundary: str) -> tuple[tuple[str, ...], str]:
-    """A grid's x column rendered as CSV cells and as a JSON list.
+              boundary: str) -> tuple[str, ...]:
+    """A grid's x column rendered as CSV cells.
 
     x depends on nothing but the grid, so each grid is rendered once.
     """
     x = FieldState(np.zeros(n_points), domain_length, boundary).x
-    return tuple(map(format_float, x.tolist())), _json_floats(x)
+    return tuple(map(format_float, x.tolist()))
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -115,7 +114,7 @@ def write_field_csv(path: str | Path, field: FieldState,
                     meta: Mapping[str, str] | None = None) -> Path:
     """Write a field snapshot as CSV with grid metadata in header comments."""
     path = Path(path)
-    x, _ = _x_column(field.domain_length, field.n_points, field.boundary)
+    x = _x_column(field.domain_length, field.n_points, field.boundary)
     with path.open("w", newline="\n") as fh:
         fh.write(f"# domain_length={format_float(field.domain_length)}\n")
         fh.write(f"# boundary={field.boundary}\n")
@@ -196,26 +195,16 @@ def read_field_csv(path: str | Path) -> FieldState:
 
 def write_field_json(path: str | Path, field: FieldState,
                      meta: Mapping[str, str] | None = None) -> Path:
-    """Write a field snapshot as JSON, byte for byte what ``write_json``
-    gives for the payload with the float arrays as lists."""
+    """Write a field snapshot as one JSON object whose float lists hold the
+    strings :func:`write_field_csv` writes."""
     path = Path(path)
-    _, x = _x_column(field.domain_length, field.n_points, field.boundary)
-    members = {
-        "domain_length": json.dumps(field.domain_length),
-        "boundary": json.dumps(field.boundary),
-        "x": x,
-        "re_psi": _json_floats(field.psi.real),
-        "im_psi": _json_floats(field.psi.imag),
-    }
-    if meta:
-        # json.dumps emits a newline only between tokens (never inside a
-        # string), so indenting every line nests the object one level
-        members["meta"] = json.dumps(
-            dict(meta), indent=2, sort_keys=True,
-            default=_jsonable).replace("\n", "\n  ")
-    body = ",\n".join(f"  {json.dumps(key)}: {members[key]}"
-                      for key in sorted(members))
-    path.write_text("{\n" + body + "\n}\n")
+    x = _x_column(field.domain_length, field.n_points, field.boundary)
+    head = json.dumps({"domain_length": field.domain_length,
+                       "boundary": field.boundary, "meta": dict(meta or {})},
+                      default=_jsonable)
+    path.write_text(f'{head[:-1]}, "x": [{",".join(x)}], '
+                    f'"re_psi": {_json_list(field.psi.real)}, '
+                    f'"im_psi": {_json_list(field.psi.imag)}}}\n')
     return path
 
 
@@ -226,7 +215,8 @@ def read_field_json(path: str | Path) -> FieldState:
     grid the metadata define raises ``ValueError``.
     """
     with Path(path).open() as fh:
-        payload = json.load(fh)
+        # %.17g writes -0.0 as -0, which int() would read as 0
+        payload = json.load(fh, parse_int=float)
     try:
         x = np.asarray(payload["x"])
         re = np.asarray(payload["re_psi"])

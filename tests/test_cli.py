@@ -651,6 +651,20 @@ def test_an_output_directory_that_cannot_be_made_exits_2(
     assert taken.read_text() == "a file, not a directory\n"
 
 
+@pytest.mark.parametrize("where", ["directory", "under_missing"])
+def test_a_fit_out_path_that_cannot_be_written_exits_2(tmp_path, capsys,
+                                                       where):
+    snap = write_field_csv(tmp_path / "snap.csv", make_soliton_field(
+        SolitonCoords(psi=1.0, x0=20.0, v=0.0, w=1.0, d=0.0, phi=0.0),
+        40.0, 400))
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "f.json"
+    assert main(["fit", "--input", str(snap), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: --out" in err and str(out) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_experiment_command(tmp_path, capsys):
     rc = main(["experiment", "fig2", "--out", str(tmp_path / "fig2")])
     assert rc == 0

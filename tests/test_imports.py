@@ -43,7 +43,8 @@ LATTICE = {"microscopic": {"chi": 0.05, "eta": 1.0, "kappa": 1.0,
 CONFIGS = {
     # periodic field runs step the dispersion in the Fourier basis
     "periodic": {"model": "pcdnse", **FIELD,
-                 "grid": {"domain_length": 40.0, "n_points": 400}},
+                 "grid": {"domain_length": 40.0, "n_points": 400},
+                 "output": {"formats": ["csv", "json"]}},
     "open": {"model": "pcdnse", **FIELD,
              "grid": {"domain_length": 40.0, "n_points": 400,
                       "boundary": "open"}},
@@ -80,8 +81,8 @@ def test_commands_run_and_write_the_same_bytes_without_scipy(tmp_path):
     commands = [["params", "--out", "out/params", "--num", "101"]]
     commands += [["simulate", "--config", str(tmp_path / f"{name}.json"),
                   "--out", f"out/{name}"] for name in CONFIGS]
-    commands.append(["fit", "--input", "out/periodic/snapshots/snap_0002.csv",
-                     "--out", "out/fit.json"])
+    commands += [["fit", "--input", f"out/periodic/snapshots/snap_0002.{ext}",
+                  "--out", f"out/fit_{ext}.json"] for ext in ("csv", "json")]
     trees = {}
     for blocked in (True, False):
         cwd = tmp_path / ("blocked" if blocked else "free")
@@ -89,8 +90,12 @@ def test_commands_run_and_write_the_same_bytes_without_scipy(tmp_path):
         _run((BLOCK_SCIPY if blocked else "") + RUN_COMMANDS,
              json.dumps(commands), cwd=cwd)
         trees[blocked] = _tree(cwd / "out")
-    assert set(trees[True]) >= {"params/sweep.csv", "fit.json",
+    assert set(trees[True]) >= {"params/sweep.csv", "fit_csv.json",
+                                "fit_json.json",
+                                "periodic/snapshots/snap_0002.json",
                                 "periodic/manifest.json",
                                 "open/manifest.json",
                                 "langevin/manifest.json"}
     assert trees[True] == trees[False]
+    # the CSV and JSON snapshots read back to the same field
+    assert trees[True]["fit_csv.json"] == trees[True]["fit_json.json"]

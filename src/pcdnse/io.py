@@ -8,8 +8,11 @@ Values are rendered and parsed in bulk rather than one call per float.  A
 CSV body is a single ``%`` operation over ``tolist()`` values, and a grid's
 x column, which depends only on the grid, is rendered once per grid.  A
 snapshot's JSON float lists hold the same ``%.17g`` strings as its CSV, so
-``FLOAT_FORMAT`` is the one float renderer for table values.  The CSV reader
-parses all data rows in one ``np.loadtxt`` call.  Both readers raise
+``FLOAT_FORMAT`` is the one float renderer for table values.  A snapshot's
+psi is rendered once for both its files: the last rendering is kept, keyed
+on every byte of psi (``psi.tobytes()``), so whichever writer runs second
+reuses it and a psi changed in place in between is rendered anew.  The CSV
+reader parses all data rows in one ``np.loadtxt`` call.  Both readers raise
 ``ValueError`` for a malformed file, for a psi value that is not finite and
 for an x value off the grid that the file's metadata define.
 """
@@ -67,13 +70,24 @@ def _csv_rows(columns: Sequence[np.ndarray | tuple[str, ...]]) -> str:
     return ((",".join(specs) + "\n") * length) % tuple(cells)
 
 
-def _json_list(values: np.ndarray) -> str:
-    """A float array as a JSON list of ``FLOAT_FORMAT`` strings, or as
-    ``json.dumps`` renders it when it holds ``NaN`` or ``Infinity``."""
+@functools.lru_cache(maxsize=1)
+def _psi_text(psi_bytes: bytes) -> tuple[str, str]:
+    """psi.real and psi.imag of the complex array ``psi_bytes`` holds, each
+    as its ``FLOAT_FORMAT`` strings joined with ``","``.
+
+    The key is psi's bytes, not the array, so a psi changed in place misses.
+    """
+    psi = np.frombuffer(psi_bytes, dtype=complex)
+    spec = ",".join([FLOAT_FORMAT] * len(psi))
+    return spec % tuple(psi.real.tolist()), spec % tuple(psi.imag.tolist())
+
+
+def _json_list(values: np.ndarray, text: str) -> str:
+    """``values`` as a JSON list of their strings ``text``, or as
+    ``json.dumps`` renders them when they hold ``NaN`` or ``Infinity``."""
     if not np.isfinite(values).all():
         return json.dumps(values.tolist())
-    return "[" + ",".join([FLOAT_FORMAT] * len(values)) % tuple(
-        values.tolist()) + "]"
+    return f"[{text}]"
 
 
 @functools.lru_cache(maxsize=4)
@@ -110,18 +124,42 @@ def _check_grid(x: np.ndarray, field: FieldState,
                          f"point {field.x[i]:.17g}")
 
 
+def _meta_item(line: str) -> tuple[str, str]:
+    """The key and value of a ``# key=value`` comment line, as
+    :func:`read_field_csv` reads them."""
+    key, _, value = line.strip().lstrip("# ").partition("=")
+    return key.strip(), value.strip()
+
+
 def write_field_csv(path: str | Path, field: FieldState,
                     meta: Mapping[str, str] | None = None) -> Path:
-    """Write a field snapshot as CSV with grid metadata in header comments."""
+    """Write a field snapshot as CSV with grid metadata in header comments.
+
+    A ``meta`` key or value that holds a line break, or a key that reads
+    back as ``domain_length`` or ``boundary``, would make a file that
+    :func:`read_field_csv` rejects or reads on another grid; it raises
+    ``ValueError`` before the file is opened.
+    """
     path = Path(path)
+    comments = []
+    for key, value in (meta or {}).items():
+        line = f"# {key}={value}"
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"meta {key!r}: {value!r} holds a line break")
+        name = _meta_item(line)[0]
+        if name in ("domain_length", "boundary"):
+            raise ValueError(f"meta {key!r} would be read as the grid's "
+                             f"{name}")
+        comments.append(line + "\n")
     x = _x_column(field.domain_length, field.n_points, field.boundary)
+    re, im = _psi_text(field.psi.tobytes())
     with path.open("w", newline="\n") as fh:
         fh.write(f"# domain_length={format_float(field.domain_length)}\n")
         fh.write(f"# boundary={field.boundary}\n")
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
+        fh.writelines(comments)
         fh.write("x,re_psi,im_psi\n")
-        fh.write(_csv_rows([x, field.psi.real, field.psi.imag]))
+        fh.write(_csv_rows([x, tuple(re.split(",")),
+                            tuple(im.split(","))]))
     return path
 
 
@@ -160,8 +198,8 @@ def read_field_csv(path: str | Path) -> FieldState:
             if not line:
                 continue
             if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                meta[key.strip()] = value.strip()
+                key, value = _meta_item(line)
+                meta[key] = value
             elif (not header_seen and not rows
                   and (line[0].isalpha() or line.startswith('"'))):
                 header_seen = True
@@ -202,9 +240,10 @@ def write_field_json(path: str | Path, field: FieldState,
     head = json.dumps({"domain_length": field.domain_length,
                        "boundary": field.boundary, "meta": dict(meta or {})},
                       default=_jsonable)
+    re, im = _psi_text(field.psi.tobytes())
     path.write_text(f'{head[:-1]}, "x": [{",".join(x)}], '
-                    f'"re_psi": {_json_list(field.psi.real)}, '
-                    f'"im_psi": {_json_list(field.psi.imag)}}}\n')
+                    f'"re_psi": {_json_list(field.psi.real, re)}, '
+                    f'"im_psi": {_json_list(field.psi.imag, im)}}}\n')
     return path
 
 

@@ -47,7 +47,8 @@ EFF = EffectiveParams(g=-0.1, gamma=0.05, hopping=1.0)
 @pytest.fixture(scope="module")
 def reference_field_run():
     """Moving soliton on the benchmark grid: L = 400, dx = 0.1, Jt = 50,
-    with the dispersion stepped exactly as in the experiments' field runs."""
+    with the dispersion stepped exactly, at the preset of fig3a's copy of
+    this solve."""
     coords = SolitonCoords(psi=1.0, x0=100.0, v=0.48, w=math.sqrt(20.0),
                            d=0.0, phi=0.0)
     field0 = make_soliton_field(coords, 400.0, 4000, PERIODIC)
@@ -55,7 +56,7 @@ def reference_field_run():
     series = solve(
         OdeProblem(make_pcdnse_ode(field0, EFF), times, field0.psi,
                    linear=dispersion_part(field0, EFF)),
-        solver_preset("pcdnse"))
+        solver_preset("pcdnse_tight"))
     fields = [field0.with_psi(s) for s in series.states]
     return series.times, fields
 

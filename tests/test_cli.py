@@ -2,11 +2,16 @@
 determinism of serialized runs.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pcdnse import cli, experiments
@@ -367,6 +372,32 @@ def test_fit_rejects_a_threshold_that_is_not_finite_and_positive(
     assert "configuration error" in captured.err
     assert "--residual-threshold" in captured.err
     assert captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def soliton_csv(tmp_path_factory):
+    return write_field_csv(tmp_path_factory.mktemp("fit") / "snap.csv",
+                           make_soliton_field(SolitonCoords(
+                               psi=1.0, x0=20.0, v=0.1, w=1.0, d=0.0,
+                               phi=0.0), 40.0, 400))
+
+
+@settings(max_examples=40, deadline=None)
+@example(threshold=math.nan)
+@example(threshold=-math.inf)
+@example(threshold=math.inf)
+@example(threshold=0.0)
+@example(threshold=-0.0)
+@example(threshold=5e-324)
+@example(threshold=1.7976931348623157e308)
+@given(threshold=st.floats())
+def test_fit_exits_0_exactly_for_a_finite_positive_threshold(soliton_csv,
+                                                             threshold):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["fit", "--input", str(soliton_csv),
+                   f"--residual-threshold={threshold!r}"])
+    assert rc == (0 if 0 < threshold < math.inf else 2)
 
 
 def test_fit_featureless_snapshot_is_numerical_failure(tmp_path, capsys):

@@ -155,6 +155,23 @@ def test_csv_header_row_only_before_the_data(tmp_path, line, text):
         read_field_csv(path)
 
 
+@pytest.mark.parametrize("meta", [
+    {"note": "a\nb"},
+    {"note": "a\rb"},
+    {"a\rb": "c"},
+    {"domain_length": "9"},
+    {"boundary": "open"},
+    {"#boundary": "open"},
+    {"boundary=open": "x"},
+])
+def test_csv_meta_that_would_not_read_back_is_rejected(tmp_path, meta):
+    path = tmp_path / "field.csv"
+    with pytest.raises(ValueError, match="^meta "):
+        write_field_csv(path, FieldState(np.ones(16, dtype=complex), 16.0),
+                        meta)
+    assert not path.exists()
+
+
 def test_field_csv_requires_domain_length(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,re_psi,im_psi\n0,1,0\n1,0,1\n")
@@ -242,6 +259,16 @@ def reference_field_csv(field, meta=None) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def reference_field_json(field, meta=None) -> bytes:
+    """For a finite psi only: ``json.dumps`` writes NaN and Infinity."""
+    head = json.dumps({"domain_length": field.domain_length,
+                       "boundary": field.boundary, "meta": dict(meta or {})})
+    lists = [f'"{key}": [{",".join(map(format_float, values))}]'
+             for key, values in (("x", field.x), ("re_psi", field.psi.real),
+                                 ("im_psi", field.psi.imag))]
+    return f"{head[:-1]}, {', '.join(lists)}}}\n".encode()
+
+
 def reference_table_csv(columns) -> bytes:
     arrays_ = [np.asarray(c) for c in columns.values()]
     lines = [",".join(columns)]
@@ -288,6 +315,8 @@ def test_field_writers_match_the_per_value_renderers(tmp_path, rng, boundary,
             values.view(np.uint64).tolist()
         if np.isfinite(values).all():
             assert items[key] == [row.split(",")[j] for row in rows]
+    if not special:
+        assert text.encode() == reference_field_json(field, meta)
 
 
 def test_field_json_keeps_arbitrary_meta(tmp_path, rng):
@@ -312,15 +341,15 @@ def test_table_csv_matches_the_per_value_renderer(tmp_path, rng, n):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+complex_fields = arrays(np.complex128, st.integers(16, 40),
+                        elements=st.builds(complex, finite, finite))
 
 
 @settings(max_examples=60, deadline=None)
 @example(psi=np.resize([complex(-0.0, 1e300), complex(5e-324, -1e-310),
                         complex(-1e-310, 5e-324), complex(1e300, -0.0)], 16),
          boundary=PERIODIC)
-@given(psi=arrays(np.complex128, st.integers(16, 40),
-                  elements=st.builds(complex, finite, finite)),
-       boundary=st.sampled_from([PERIODIC, OPEN]))
+@given(psi=complex_fields, boundary=st.sampled_from([PERIODIC, OPEN]))
 def test_snapshot_round_trips_keep_every_bit(psi, boundary):
     field = FieldState(psi, 10.0, boundary)
     with tempfile.TemporaryDirectory() as tmp:
@@ -330,3 +359,29 @@ def test_snapshot_round_trips_keep_every_bit(psi, boundary):
             assert back.psi.view(np.uint64).tolist() == \
                 psi.view(np.uint64).tolist()
             assert back.boundary == boundary
+
+
+@settings(max_examples=40, deadline=None)
+@example(a=np.ones(16, dtype=complex), b=np.ones(17, dtype=complex),
+         order=("csv A", "json B", "json A", "csv B"))
+@example(a=np.ones(16, dtype=complex), b=np.ones(16, dtype=complex),
+         order=("csv A", "json A", "csv B", "json B"))
+@given(a=complex_fields, b=complex_fields,
+       order=st.permutations(("csv A", "json A", "csv B", "json B")))
+def test_interleaved_writes_of_two_fields_match_the_references(a, b, order):
+    """Both writers share one rendering of psi; A's psi changes in place
+    after A's first file is written, so its second file must follow."""
+    fields = {"A": FieldState(a.copy(), 10.0), "B": FieldState(b, 12.0)}
+    writers = {"csv": (write_field_csv, reference_field_csv),
+               "json": (write_field_json, reference_field_json)}
+    mutated = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for step in order:
+            kind, name = step.split()
+            write, reference = writers[kind]
+            field = fields[name]
+            path = write(Path(tmp) / f"{name}.{kind}", field, {"t": "1"})
+            assert path.read_bytes() == reference(field, {"t": "1"}), step
+            if name == "A" and not mutated:
+                field.psi[::3] = -field.psi[::3]    # flips sign bits
+                mutated = True

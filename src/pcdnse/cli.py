@@ -26,13 +26,16 @@ from pathlib import Path
 from . import io
 from .analysis import FIT_RESIDUAL_THRESHOLD, NoPeakError, fit_soliton
 from .collective import WidthCollapseError
-from .config import check_solver_flags
-from .experiments import (
-    EXPERIMENTS,
+from .config import (
+    SWEEP_RULE,
     ConfigError,
-    ExperimentConfig,
+    check_solver_flags,
     normalize_config,
     normalize_sweep_config,
+)
+from .experiments import (
+    EXPERIMENTS,
+    ExperimentConfig,
     read_snapshot,
     run_experiment,
     run_params_sweep,
@@ -45,7 +48,13 @@ __all__ = ["main", "OUTPUT_DIR_ENV"]
 OUTPUT_DIR_ENV = "PCDNSE_OUTPUT_DIR"
 
 _NUMERICAL_ERRORS = (IntegrationError, WidthCollapseError, NoPeakError,
-                     FloatingPointError, OverflowError)
+                     ArithmeticError)
+
+#: The params flags, by key and type: each sweep key but the ``directory``
+#: that ``--out`` sets.
+_SWEEP_FLAGS = {key: {"number": float, "integer": int}[rule["type"]]
+                for key, rule in SWEEP_RULE["properties"].items()
+                if key != "directory"}
 
 
 def _load_config(path: str) -> dict:
@@ -59,6 +68,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:       # arrays or objects nested too deeply
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: the top level must be a JSON object")
     return config
@@ -93,8 +104,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
         kwargs = normalize_sweep_config(_load_config(args.config))
     out_dir = _resolve_out(args.out, kwargs.pop("directory", None),
                            "out/params")
-    for key in ("chi", "eta", "kappa", "hopping", "delta_min", "delta_max",
-                "num"):
+    for key in _SWEEP_FLAGS:
         if getattr(args, key) is not None:
             kwargs[key] = getattr(args, key)
     report = run_params_sweep(out_dir, **kwargs)
@@ -171,15 +181,9 @@ def _parser() -> argparse.ArgumentParser:
     p_params.add_argument("--config", help="JSON file with a params_sweep "
                                            "section")
     p_params.add_argument("--out", help="output directory")
-    p_params.add_argument("--chi", type=float, default=None)
-    p_params.add_argument("--eta", type=float, default=None)
-    p_params.add_argument("--kappa", type=float, default=None)
-    p_params.add_argument("--hopping", type=float, default=None)
-    p_params.add_argument("--delta-min", dest="delta_min", type=float,
-                          default=None)
-    p_params.add_argument("--delta-max", dest="delta_max", type=float,
-                          default=None)
-    p_params.add_argument("--num", type=int, default=None)
+    for key, kind in _SWEEP_FLAGS.items():
+        p_params.add_argument("--" + key.replace("_", "-"), dest=key,
+                              type=kind)
     p_params.set_defaults(func=_cmd_params)
 
     p_sim = sub.add_parser("simulate", help="run one configured simulation")

@@ -18,8 +18,8 @@ from typing import Mapping
 
 from .integrate import SOLVER_PRESETS
 
-__all__ = ["ConfigError", "MODELS", "check_solver_flags", "normalize_config",
-           "normalize_sweep_config"]
+__all__ = ["ConfigError", "MODELS", "SWEEP_RULE", "check_solver_flags",
+           "normalize_config", "normalize_sweep_config"]
 
 _SCHEMA = json.loads(Path(__file__).with_name("config_schema.json").read_text())
 MODELS = tuple(_SCHEMA["properties"]["model"]["enum"])
@@ -35,7 +35,8 @@ _DEFAULT_SOLVER_PRESET = {
     "collective": "collective",
 }
 
-_SWEEP_RULE = {
+#: The rule of a params_sweep section, whose keys are also the params flags.
+SWEEP_RULE = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
@@ -47,7 +48,7 @@ _SWEEP_RULE = {
 }
 # a params --config file holds the sweep section and nothing else
 _SWEEP_FILE_RULE = {"type": "object", "additionalProperties": False,
-                    "properties": {"params_sweep": _SWEEP_RULE}}
+                    "properties": {"params_sweep": SWEEP_RULE}}
 
 
 class ConfigError(ValueError):

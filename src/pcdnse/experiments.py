@@ -37,13 +37,7 @@ from .collective import (
     stable_closed_form,
     stable_soliton,
 )
-# re-exported: callers import the config names from this module too
-from .config import (
-    MODELS,
-    ConfigError,
-    normalize_config,
-    normalize_sweep_config,
-)
+from .config import ConfigError, normalize_config
 from .integrate import (
     OdeProblem,
     SolverConfig,
@@ -79,12 +73,9 @@ from .params import (
 )
 
 __all__ = [
-    "ConfigError",
     "ExperimentConfig",
-    "normalize_config",
     "run_simulation",
     "run_params_sweep",
-    "normalize_sweep_config",
     "run_experiment",
     "read_snapshot",
     "EXPERIMENTS",
@@ -149,11 +140,11 @@ def run_simulation(config: Mapping, out_dir: str | Path) -> dict:
     cfg = normalize_config(config)
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always", ContainmentWarning)
-        eff, res, chain, start, times, solver = _build_run(cfg)
+        eff, res, chain, start, times, problem, solver = _build_run(cfg)
         out_dir = _make_out_dir(out_dir)
         files = [io.write_json(out_dir / "config_echo.json", cfg)]
-        result = _dispatch_run(cfg, eff, res, chain, start, times, solver,
-                               out_dir, files)
+        result = _dispatch_run(cfg, eff, res, chain, start, times, problem,
+                               solver, out_dir, files)
         caught = [str(w.message) for w in wlist
                   if issubclass(w.category, ContainmentWarning)]
 
@@ -201,19 +192,23 @@ def read_snapshot(path: str | Path, where: str) -> FieldState:
     try:
         return (io.read_field_json(path) if path.suffix == ".json"
                 else io.read_field_csv(path))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: JSON arrays or objects nested too deeply
         raise ConfigError(f"{where}: cannot read {path}: {exc}") from exc
 
 
 def _build_run(cfg: Mapping) -> tuple:
     """The typed inputs of a normalized run config: the effective, reservoir
     and chain parameters (the last two ``None`` without a ``microscopic``
-    section), the start state, the snapshot times and the solver, if any.
+    section), the start state, the snapshot times, and the ODE problem and
+    solver (both ``None`` for the stable model).
 
-    A value the constructors reject, or a size too large to allocate,
-    raises :class:`ConfigError` naming the config key it came from.
+    A value the constructors reject, a value out of floating-point range, a
+    start field that is not finite, or a size too large to allocate, raises
+    :class:`ConfigError` naming the config key it came from.
     """
-    where = "microscopic" if "microscopic" in cfg else "effective"
+    model = cfg["model"]
+    where = source = "microscopic" if "microscopic" in cfg else "effective"
     try:
         res = chain = None
         if where == "microscopic":
@@ -238,6 +233,9 @@ def _build_run(cfg: Mapping) -> tuple:
         [(kind, spec)] = cfg["initial"].items()
         where = f"initial.{kind}"
         start = _start_state(cfg, eff, kind, spec)
+        # only a field's grid spacing can put its flow out of range
+        where = "grid" if model == "pcdnse" else source
+        problem = _problem(model, eff, res, chain, start, times)
         where = "run.solver"
         solver = None if "solver" not in run else SolverConfig(
             **{k: v for k, v in run["solver"].items() if k != "preset"})
@@ -245,7 +243,10 @@ def _build_run(cfg: Mapping) -> tuple:
         raise
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"config[{where}]: {exc}") from exc
-    return eff, res, chain, start, times, solver
+    except ArithmeticError as exc:
+        raise ConfigError(f"config[{where}]: out of floating-point range "
+                          f"({type(exc).__name__}: {exc})") from exc
+    return eff, res, chain, start, times, problem, solver
 
 
 def _start_state(cfg: Mapping, eff: EffectiveParams, kind: str, spec
@@ -289,12 +290,16 @@ def _start_state(cfg: Mapping, eff: EffectiveParams, kind: str, spec
                 f"{(n_points, domain_length, boundary)}")
         return field
     try:
-        return make_soliton_field(coords, domain_length, n_points, boundary)
+        field = make_soliton_field(coords, domain_length, n_points, boundary)
     except (ValueError, OverflowError, MemoryError) as exc:
         # numpy refuses a size beyond its index range with a ValueError and
         # one it cannot allocate with a MemoryError; a lattice length beyond
         # a double's range fails its conversion with an OverflowError
         raise ConfigError(f"config[{size_key}]: {exc}") from exc
+    if not np.isfinite(field.psi).all():
+        # a phase (x - x0) v + (x - x0)^2 d out of range
+        raise ValueError("the soliton is not finite on the grid")
+    return field
 
 
 def _field_problem(field0: FieldState, eff: EffectiveParams,
@@ -321,6 +326,20 @@ def _chain_problem(res: ReservoirParams, chain: ChainParams, psi0: np.ndarray,
                       linear=hopping_part(res, chain))
 
 
+def _problem(model: str, eff: EffectiveParams, res: ReservoirParams | None,
+             chain: ChainParams | None, start, times: np.ndarray
+             ) -> OdeProblem | None:
+    """The flow of ``model`` from ``start``, recorded at ``times``; ``None``
+    for the stable model, whose solution is exact."""
+    if model == "stable":
+        return None
+    if model == "collective":
+        return OdeProblem(make_collective_ode(eff), times, start.to_array())
+    if model == "langevin":
+        return _chain_problem(res, chain, start.psi, times)
+    return _field_problem(start, eff, times)
+
+
 def _solve_counts(series: TimeSeries) -> dict:
     """The step and RHS counts of a solve, as reports and manifests name
     them; they are deterministic, so reruns write the same values."""
@@ -331,19 +350,14 @@ def _solve_counts(series: TimeSeries) -> dict:
     }
 
 
-def _dispatch_run(cfg, eff, res, chain, start, times, solver, out_dir,
-                  files) -> dict:
+def _dispatch_run(cfg, eff, res, chain, start, times, problem, solver,
+                  out_dir, files) -> dict:
     model = cfg["model"]
     if model in ("pcdnse", "lattice", "langevin"):
-        field0 = start
+        series = site_series = solve(problem, solver)
         if model == "langevin":
-            series = solve(_chain_problem(res, chain, field0.psi, times),
-                           solver)
             site_series = rotating_frame_to_effective(series, res, chain)
-        else:
-            series = site_series = solve(
-                _field_problem(field0, eff, times), solver)
-        fields = [field0.with_psi(s) for s in site_series.states]
+        fields = [start.with_psi(s) for s in site_series.states]
         n_series = [particle_number(f) for f in fields]
         e_series = [field_energy(f, eff) for f in fields]
         peak = [float(np.max(np.abs(f.psi))) for f in fields]
@@ -363,8 +377,7 @@ def _dispatch_run(cfg, eff, res, chain, start, times, solver, out_dir,
         return {"integrator": _solve_counts(series), "diagnostics": diag}
 
     if model == "collective":
-        series = solve(OdeProblem(make_collective_ode(eff), times,
-                                  start.to_array()), solver)
+        series = solve(problem, solver)
         psi, x0, v, w, d, phi = series.states.real.T
         files.append(io.write_table_csv(out_dir / "trajectory.csv", {
             "t": series.times, "psi": psi, "x0": x0, "v": v, "w": w,
@@ -429,6 +442,10 @@ def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
         mirrored = np.array([effective(-delta).gamma for delta in deltas])
     except ValueError as exc:
         raise ConfigError(f"params sweep: {exc}") from exc
+    except ArithmeticError as exc:
+        raise ConfigError(f"params sweep: effective constants out of "
+                          f"floating-point range ({type(exc).__name__}: "
+                          f"{exc})") from exc
     except MemoryError as exc:
         raise ConfigError(f"params sweep: num = {num}: {exc}") from exc
     dg = np.array([eff.delta_g for eff in effs])

@@ -106,9 +106,11 @@ class OdeProblem:
     initial_state, solved over ``times`` and recorded at each entry.
 
     ``times`` is 1-d, holds at least two entries, and is finite and
-    strictly increasing.  ``linear``, when given, names a part L y of
-    ``rhs`` that is diagonal in a known basis; ``rhs`` stays the whole
-    right-hand side L y + N(t, y).
+    strictly increasing; ``initial_state`` is 1-d and finite.  ``linear``,
+    when given, names a part L y of ``rhs`` that is diagonal in a known
+    basis, with one eigenvalue per component of the state; ``rhs`` stays
+    the whole right-hand side L y + N(t, y).  Anything else raises
+    ``ValueError``.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -123,6 +125,15 @@ class OdeProblem:
         if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
             raise ValueError("times must be finite and strictly increasing")
         object.__setattr__(self, "times", times)
+        y = np.asarray(self.initial_state)
+        if y.ndim != 1:
+            raise ValueError("initial_state must be one-dimensional")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("initial_state must be finite")
+        if (self.linear is not None
+                and np.shape(self.linear.eigenvalues) != y.shape):
+            raise ValueError("linear.eigenvalues must have the state's shape")
+        object.__setattr__(self, "initial_state", y)
 
 
 @dataclass(frozen=True)
@@ -332,6 +343,9 @@ def _initial_step(rhs, t0, y0, f0, t1, order, atol, rtol, stats) -> float:
     d1 = float(np.sqrt(np.mean((np.abs(f0) / scale) ** 2)))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
+    if h0 == 0.0:                        # d0 / d1 underflowed
+        raise StepUnderflowError(
+            f"initial step size underflowed to 0 at t={t0!r}", stats)
     f1 = rhs(t0 + h0, y0 + h0 * f0)
     stats.n_rhs += 1
     d2 = float(np.sqrt(np.mean((np.abs(f1 - f0) / scale) ** 2))) / h0
@@ -471,26 +485,17 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
 
     Raises
     ------
-    ValueError
-        If ``initial_state`` is not a one-dimensional finite array, or the
-        linear part does not fit it.
     StepUnderflowError
         If error control forces the step below the resolution of the time
-        variable (typically a sign of a defective or singular RHS).
+        variable, or the first step underflows to zero (typically a sign
+        of a defective or singular RHS).
     MaxStepsExceededError
         If more than ``config.max_steps`` steps (accepted plus rejected)
         would be needed.
     """
     tab = _TABLEAUS[_METHOD_ALIASES[config.method]]
     rhs, times = problem.rhs, problem.times
-    y = np.asarray(problem.initial_state)
-    if y.ndim != 1:
-        raise ValueError("initial_state must be one-dimensional")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("initial_state must be finite")
-    if (problem.linear is not None
-            and np.shape(problem.linear.eigenvalues) != y.shape):
-        raise ValueError("linear.eigenvalues must have the state's shape")
+    y = problem.initial_state
     # Steps come out in double precision, and complex in Lawson form.
     y = y.astype(np.result_type(
         y, float if problem.linear is None else complex))

@@ -163,19 +163,32 @@ def write_field_csv(path: str | Path, field: FieldState,
     return path
 
 
-def _bad_row(rows: list[str], line_numbers: list[int]) -> str | None:
-    """Where and how the first malformed data row is malformed, if any."""
+def _parse_rows(rows: list[str], line_numbers: list[int]) -> np.ndarray:
+    """The data rows as an (n, 3) array, parsed by ``np.loadtxt``.
+
+    A row without 3 fields, or with one ``np.loadtxt`` does not read as a
+    number, raises ``ValueError`` naming its line.  The rows are parsed
+    one by one only then, since numpy's message counts data rows alone.
+    """
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] == 3:
+            return data
+    except ValueError:
+        pass
     for row, number in zip(rows, line_numbers):
-        fields = row.split(",")
-        if len(fields) != 3:
-            return (f"line {number}: {len(fields)} fields, expected 3 "
-                    "(x, re_psi, im_psi)")
-        for cell in fields:
+        cells = row.split(",")
+        if len(cells) != 3:
+            raise ValueError(f"line {number}: {len(cells)} fields, expected "
+                             "3 (x, re_psi, im_psi)")
+        for column, cell in enumerate(cells):
             try:
-                float(cell)
+                np.loadtxt([row], delimiter=",", comments=None,
+                           usecols=column)
             except ValueError:
-                return f"line {number}: {cell.strip()!r} is not a number"
-    return None
+                raise ValueError(f"line {number}: {cell.strip()!r} is not "
+                                 "a number") from None
+    raise ValueError("np.loadtxt rejects the data rows")
 
 
 def read_field_csv(path: str | Path) -> FieldState:
@@ -208,18 +221,7 @@ def read_field_csv(path: str | Path) -> FieldState:
                 line_numbers.append(number)
     if "domain_length" not in meta:
         raise ValueError("missing '# domain_length=...' metadata")
-    try:
-        data = (np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-                if rows else np.empty((0, 3)))
-    except ValueError as exc:
-        # numpy counts data rows only and may suggest options of its own
-        where = _bad_row(rows, line_numbers)
-        if where is None:
-            raise
-        raise ValueError(where) from exc
-    if data.shape[1] != 3:
-        raise ValueError(f"data rows have {data.shape[1]} fields, "
-                         "expected 3 (x, re_psi, im_psi)")
+    data = _parse_rows(rows, line_numbers) if rows else np.empty((0, 3))
     finite = np.isfinite(data[:, 1:]).all(axis=1)
     if not finite.all():
         number = line_numbers[int(np.argmin(finite))]

@@ -7,6 +7,8 @@ import dataclasses
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,6 +345,76 @@ def test_simulate_rejects_a_size_too_large_to_allocate(tmp_path, capsys, cfg,
     assert not out.exists()
 
 
+_SOLITON = {"psi": 1.0, "x0": 20.0, "v": 0.1, "w": 2.0, "d": 0.0, "phi": 0.0}
+_SOLVER = {"rtol": 1e-6, "atol": 1e-8, "max_steps": 500}
+#: A small run of each model.  Every float is a number key the property
+#: below may redraw; the sizes and max_steps are ints and stay.
+_SMALL_RUNS = {
+    "pcdnse": {"model": "pcdnse",
+               "effective": {"g": -2.0, "gamma": 0.05, "delta_g": 0.0,
+                             "hopping": 1.0},
+               "grid": {"domain_length": 40.0, "n_points": 64},
+               "initial": {"soliton": _SOLITON},
+               "run": {"t_final": 0.5, "snapshots": 3, "solver": _SOLVER}},
+    "langevin": {"model": "langevin",
+                 "microscopic": {**_MICROSCOPIC, "hopping": 1.0,
+                                 "anharmonicity": 0.0},
+                 "sites": 16, "initial": {"soliton": {**_SOLITON,
+                                                      "x0": 8.0}},
+                 "run": {"t_final": 0.5, "snapshots": 3, "solver": _SOLVER}},
+    "collective": {"model": "collective",
+                   "effective": {"g": -2.0, "gamma": 0.05},
+                   "initial": {"soliton": _SOLITON},
+                   "run": {"t_final": 0.5, "snapshots": 3,
+                           "solver": _SOLVER}},
+    "stable": {"model": "stable", "effective": {"g": -0.5, "gamma": 0.05},
+               "initial": {"stable": {"n_particles": 2.0, "x0": 0.0,
+                                      "v": 0.5, "phi": 0.0}},
+               "run": {"t_final": 0.5, "snapshots": 3}},
+}
+
+
+def _float_keys(node, path=()):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _float_keys(value, path + (key,))
+        elif isinstance(value, float):
+            yield path + (key,)
+
+
+_NUMBER_KEYS = [(model, path) for model, cfg in _SMALL_RUNS.items()
+                for path in _float_keys(cfg)]
+
+
+@settings(max_examples=100, deadline=None)
+# inputs that cannot be built: exit 2
+@example(key=("pcdnse", ("grid", "domain_length")), value=1e-300)
+@example(key=("pcdnse", ("initial", "soliton", "x0")), value=1e200)
+@example(key=("langevin", ("initial", "soliton", "x0")), value=1e200)
+@example(key=("stable", ("initial", "stable", "n_particles")), value=5e-324)
+@example(key=("langevin", ("microscopic", "delta")), value=-1e200)
+@example(key=("stable", ("initial", "stable", "n_particles")), value=1e200)
+# a first step that underflows to 0: exit 3
+@example(key=("collective", ("effective", "g")), value=1e200)
+@given(key=st.sampled_from(_NUMBER_KEYS), value=st.floats())
+def test_simulate_with_any_number_exits_0_2_or_3(key, value):
+    model, path = key
+    cfg = json.loads(json.dumps(_SMALL_RUNS[model]))
+    parent = cfg
+    for name in path[:-1]:
+        parent = parent[name]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        out = Path(tmp, "run")
+        rc = main(["simulate", "--config", write_config(Path(tmp), cfg),
+                   "--out", str(out)])
+        assert rc in (0, 2, 3), err.getvalue()
+        # a config error is found before anything is written
+        assert rc != 2 or not out.exists()
+
+
 def test_fit_command_stdout_and_file(tmp_path, capsys):
     coords = SolitonCoords(psi=1.0, x0=20.0, v=0.1, w=1.0, d=0.0, phi=0.3)
     snap = write_field_csv(tmp_path / "snap.csv",
@@ -574,6 +646,17 @@ def test_params_rejects_a_degenerate_reservoir(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--kappa=1e200", "--chi=1e200"])
+def test_params_rejects_constants_out_of_floating_point_range(
+        tmp_path, capsys, flag):
+    out = tmp_path / "p"
+    assert main(["params", flag, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "params sweep: effective constants out of floating-point range" \
+        in err
+    assert not out.exists()
+
+
 def test_params_rejects_a_count_too_large_to_allocate(tmp_path, capsys):
     out = tmp_path / "p"
     assert main(["params", "--num", str(10**20), "--out", str(out)]) == 2
@@ -596,6 +679,26 @@ def test_params_config_takes_an_integral_float_count(tmp_path):
                  "--out", str(tmp_path / "p")]) == 0
     report = json.loads((tmp_path / "p" / "report.json").read_text())
     assert report["sweep_points"] == 11
+
+
+@pytest.mark.parametrize("command", ["simulate", "params", "fit",
+                                     "field_file"])
+def test_json_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys,
+                                                       command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "simulate": ["simulate", "--config", str(deep)],
+        "params": ["params", "--config", str(deep)],
+        "fit": ["fit", "--input", str(deep)],
+        "field_file": ["simulate", "--config", write_config(
+            tmp_path, small_config(initial={"field_file": str(deep)}))],
+    }[command]
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(deep) in err
+    assert not out.exists()
 
 
 def test_fit_names_the_line_of_a_short_row(tmp_path, capsys):

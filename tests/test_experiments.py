@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pcdnse import experiments
+from pcdnse import config, experiments
 from pcdnse.collective import SolitonCoords, stable_soliton
+from pcdnse.config import ConfigError, normalize_config
 from pcdnse.experiments import (
     EXPERIMENTS,
-    ConfigError,
     ExperimentConfig,
-    normalize_config,
     run_experiment,
     run_params_sweep,
     run_simulation,
@@ -308,7 +307,7 @@ def _lattice_config():
 
 _SCHEMA_CONFIGS = [pcdnse_config, langevin_config, stable_config,
                    _full_field_config, _lattice_config]
-_WORDS = [*experiments.MODELS, "periodic", "open", "csv", "json", "yaml",
+_WORDS = [*config.MODELS, "periodic", "open", "csv", "json", "yaml",
           "tsit5", "rkf78", "rk45_tsitouras", "rk_high_order", "euler",
           "pcdnse_tight", "two_soliton", "", "x"]
 # each bound of the schema, on both sides, and a value of every JSON type
@@ -354,7 +353,7 @@ def _mutant(make, kind: str, path: tuple, value=None) -> dict:
 
 def _breaks_a_prose_rule(cfg) -> bool:
     model = cfg.get("model")
-    if model not in experiments.MODELS:
+    if model not in config.MODELS:
         return False
     lattice = model in ("lattice", "langevin")
     initial = cfg.get("initial")

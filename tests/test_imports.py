@@ -3,8 +3,11 @@
 The runtime needs numpy alone; scipy serves only as a test oracle.
 """
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -69,10 +72,46 @@ def _tree(root: Path) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _loaded(module: str) -> set[str]:
+    """The modules a fresh process has loaded after importing ``module``."""
+    return set(_run(f"import sys, {module}; print(*sys.modules)").split())
+
+
+def _submodules():
+    return [importlib.import_module(f"pcdnse.{info.name}")
+            for info in pkgutil.iter_modules(pcdnse.__path__)]
+
+
 def test_importing_the_package_and_cli_loads_no_scipy_module():
-    out = _run("import sys, pcdnse, pcdnse.cli; print([m for m in "
-               "sys.modules if m == 'scipy' or m.startswith('scipy.')])")
-    assert out.strip() == "[]"
+    assert not {m for m in _loaded("pcdnse.cli")
+                if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_package_root_holds_only_submodules_and_dunders():
+    _submodules()
+    for name, value in vars(pcdnse).items():
+        assert name.startswith("__") or (inspect.ismodule(value) and
+                                         value.__name__ == f"pcdnse.{name}")
+    assert isinstance(pcdnse.__version__, str)
+
+
+def test_no_module_exports_a_name_defined_elsewhere():
+    for module in _submodules():
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == module.__name__, (module, name)
+
+
+def test_importing_params_loads_no_numpy_module():
+    assert not {m for m in _loaded("pcdnse.params")
+                if m == "numpy" or m.startswith("numpy.")}
+
+
+def test_importing_collective_loads_none_of_the_run_modules():
+    run_modules = {f"pcdnse.{name}" for name in
+                   ("config", "experiments", "io", "analysis", "cli")}
+    assert not run_modules & _loaded("pcdnse.collective")
 
 
 def test_commands_run_and_write_the_same_bytes_without_scipy(tmp_path):

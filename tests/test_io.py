@@ -51,18 +51,32 @@ def test_field_csv_roundtrip_open_boundary(tmp_path, rng):
     assert np.array_equal(back.psi, field.psi)
 
 
+def _on_line_11(edit):
+    """The edit of a file's lines that applies ``edit`` to line 11."""
+    return lambda lines: [edit(line) if number == 11 else line
+                          for number, line in enumerate(lines, start=1)]
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda row: row.rsplit(",", 1)[0], "line 11: 2 fields, expected 3"),
-    (lambda row: row + ",0", "line 11: 4 fields, expected 3"),
-    (lambda row: row.split(",")[0] + ",abc,0", "line 11: 'abc' is not a"),
+    (_on_line_11(lambda row: row.rsplit(",", 1)[0]),
+     "line 11: 2 fields, expected 3"),
+    (_on_line_11(lambda row: row + ",0"), "line 11: 4 fields, expected 3"),
+    (_on_line_11(lambda row: row.split(",")[0] + ",abc,0"),
+     "line 11: 'abc' is not a"),
+    # Python's float() reads these; np.loadtxt does not
+    (_on_line_11(lambda row: row.split(",")[0] + ",1_0,0"),
+     "line 11: '1_0' is not a"),
+    (_on_line_11(lambda row: row.split(",")[0] + ",\uff11,0"),
+     "line 11: '\uff11' is not a"),
+    # every row short: the first data row, after 3 comments and the header
+    (lambda lines: lines[:4] + [row.rsplit(",", 1)[0] for row in lines[4:]],
+     "line 5: 2 fields, expected 3"),
 ])
 def test_malformed_csv_row_is_named_by_its_line(tmp_path, edit, message):
     path = write_field_csv(tmp_path / "field.csv",
                            FieldState(np.ones(16, dtype=complex), 16.0),
                            meta={"t": "0"})
-    lines = path.read_text().splitlines(keepends=True)
-    lines[10] = edit(lines[10].rstrip("\n")) + "\n"     # file line 11
-    path.write_text("".join(lines))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError) as info:
         read_field_csv(path)
     assert str(info.value).startswith(message)

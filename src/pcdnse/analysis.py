@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collective import SolitonCoords
-from .model_continuum import FieldState, mean_velocity, sech
+from .model_continuum import FieldState, _soliton_terms, mean_velocity
 from .params import PERIODIC
 
 __all__ = [
@@ -120,11 +120,7 @@ def _model_terms(x: np.ndarray, theta: np.ndarray
     """The ansatz m = A sech(s) e^{i Phi} at ``theta`` and its two factors
     (sech(s), e^{i Phi}), s = u/|w| and Phi = u v + u^2 d + phi
     (u = x - x0)."""
-    amp, x0, v, w, d, phi = theta
-    u = x - x0
-    envelope = sech(u / abs(w))
-    phase = np.exp(1j * (u * v + u * u * d + phi))
-    return amp * envelope * phase, (envelope, phase)
+    return _soliton_terms(x, *theta)
 
 
 def _model_field(x: np.ndarray, theta: np.ndarray) -> np.ndarray:

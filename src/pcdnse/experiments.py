@@ -6,7 +6,9 @@ and a checksummed manifest into the output directory.  The ``run_figN``
 functions orchestrate multi-run comparisons, each emitting plot-ready CSVs
 plus a ``report.json`` whose ``checks`` section holds named pass/fail
 booleans.  Their sub-runs are independent and run in order on the calling
-thread; a sub-run that raises is recorded and the others still report.
+thread.  Each returns its ``report.json`` row and its CSV tables, which
+one runner writes; a sub-run that raises is recorded, writes nothing, and
+the others still report.
 """
 
 from __future__ import annotations
@@ -434,6 +436,9 @@ def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
         deltas = np.linspace(delta_min, delta_max, num)
         chain = ChainParams(hopping=hopping, anharmonicity=0.0, sites=2)
 
+        # the detunings are numpy floats, whose overflow only warns unless
+        # errstate makes it raise, as a Python float's does
+        @np.errstate(over="raise", invalid="raise")
         def effective(delta: float) -> EffectiveParams:
             return effective_params(ReservoirParams(
                 chi=chi, eta=eta, kappa=kappa, delta=delta), chain)
@@ -499,9 +504,10 @@ _REFERENCE_SOLITON = SolitonCoords(psi=1.0, x0=100.0, v=0.48,
                                    w=math.sqrt(20.0), d=0.0, phi=0.0)
 
 
-def _fig3_single_size(sites: int, delta: float) -> dict:
+def _fig3_single_size(sites: int, delta: float) -> tuple[dict, dict]:
     """Langevin versus effective lattice at one chain size, with the
-    reservoir tuned to g = -0.1 J, gamma = 0.05."""
+    reservoir tuned to g = -0.1 J, gamma = 0.05; its table holds both
+    final occupation profiles."""
     scale = sites / 400.0
     ref = _REFERENCE_SOLITON
     coords = SolitonCoords(psi=ref.psi / scale, x0=sites / 4.0,
@@ -544,24 +550,32 @@ def _fig3_single_size(sites: int, delta: float) -> dict:
         "r2": r2,
         "weak_coupling_ok": bool(max(r1, r2) < WEAK_COUPLING_ADVISORY),
         "linf_rel_langevin_vs_lattice": cmp_models.linf_rel,
-        "profile": {"site": x_sites, "occ_langevin": occ_langevin,
-                    "occ_lattice": occ_lattice},
-    }
+    }, {f"profiles_{_tag('delta', delta)}_L{sites}": {
+        "site": x_sites, "occ_langevin": occ_langevin,
+        "occ_lattice": occ_lattice}}
 
 
-def _run_jobs(fn: Callable[..., dict], jobs) -> tuple[list[dict], list[str]]:
+def _run_jobs(out_dir: Path, fn: Callable[..., tuple[dict, dict]], jobs
+              ) -> tuple[list[dict], list[str], list[Path]]:
     """Run ``fn(*job)`` for every job, in job order.
 
-    Returns the rows of the sub-runs that finished and one error message
-    per sub-run that raised: partial datasets are allowed.
+    Each sub-run returns its report row and its tables, columns by file
+    stem; the tables of a sub-run that finishes are written to ``out_dir``
+    as CSV.  Returns the rows of the sub-runs that finished, one error
+    message per sub-run that raised (partial datasets are allowed), and
+    the files written.
     """
-    rows, failures = [], []
+    rows, failures, files = [], [], []
     for job in jobs:
         try:
-            rows.append(fn(*job))
+            row, tables = fn(*job)
         except Exception as exc:  # noqa: BLE001 - recorded in the report
             failures.append(f"{type(exc).__name__}: {exc}")
-    return rows, failures
+            continue
+        rows.append(row)
+        files += [io.write_table_csv(out_dir / f"{stem}.csv", columns)
+                  for stem, columns in tables.items()]
+    return rows, failures, files
 
 
 def _finish_report(out_dir: Path, files: list[Path], report: dict) -> dict:
@@ -597,47 +611,44 @@ def run_fig3a(out_dir: str | Path, full: bool = False) -> dict:
         _field_problem(field_ref, eff_ref, np.array([0.0, 50.0])),
         solver_preset("pcdnse_tight"))
     occ_ref = np.abs(ref_series.states[-1]) ** 2
-
-    rows, failures = _run_jobs(
-        _fig3_single_size, [(sites, -0.1) for sites in sizes])
-
     files = [io.write_table_csv(out_dir / "pcdnse_reference.csv", {
         "x": field_ref.x, "occupation": occ_ref,
     })]
 
-    table_rows = []
-    for row in rows:
-        scale, profile = row["scale"], row["profile"]
-        x_rescaled = profile["site"] / scale
+    def single_size(sites: int) -> tuple[dict, dict]:
+        row, tables = _fig3_single_size(sites, -0.1)
+        [profile] = tables.values()
+        x_rescaled = profile["site"] / row["scale"]
         for model in ("lattice", "langevin"):
             row[f"linf_rel_{model}_vs_continuum"] = compare_profiles(
-                x_rescaled, profile[f"occ_{model}"] * scale**2,
+                x_rescaled, profile[f"occ_{model}"] * row["scale"]**2,
                 field_ref.x, occ_ref).linf_rel
-        files.append(io.write_table_csv(
-            out_dir / f"profiles_L{row['sites']}.csv", profile))
-        table_rows.append({k: row[k] for k in (
+        return {k: row[k] for k in (
             "sites", "t_final", "chi", "b_max", "r1", "r2",
             "weak_coupling_ok", "linf_rel_langevin_vs_lattice",
             "linf_rel_lattice_vs_continuum",
-            "linf_rel_langevin_vs_continuum")})
+            "linf_rel_langevin_vs_continuum")}, {f"profiles_L{sites}": profile}
+
+    rows, failures, profiles = _run_jobs(
+        out_dir, single_size, [(sites,) for sites in sizes])
+    files += profiles
 
     checks = {
         f"elimination_agrees_L{r['sites']}":
             bool(r["linf_rel_langevin_vs_lattice"] < 0.05)
-        for r in table_rows if r["weak_coupling_ok"]
+        for r in rows if r["weak_coupling_ok"]
     }
     # Panel-(a) statement: the scaling family converges to the continuum
     # solution as the chain grows (the soliton widens in site units).  At
     # the two smallest sizes the profiles separate entirely within the
     # horizon and the sup norm saturates near the peak value, so only the
-    # endpoints order reliably.
-    errs = [r["linf_rel_lattice_vs_continuum"]
-            for r in sorted(table_rows, key=lambda r: r["sites"])]
+    # endpoints order reliably.  The rows come in order of size.
+    errs = [r["linf_rel_lattice_vs_continuum"] for r in rows]
     checks["continuum_error_improves_with_length"] = bool(
         len(errs) >= 2 and errs[-1] < errs[0])
     checks["largest_size_tracks_continuum"] = bool(errs and errs[-1] < 0.5)
     return _finish_report(out_dir, files, {
-        "experiment": "fig3a", "rows": table_rows, "checks": checks,
+        "experiment": "fig3a", "rows": rows, "checks": checks,
         "failures": failures})
 
 
@@ -658,12 +669,8 @@ def run_fig3b(out_dir: str | Path) -> dict:
     """
     out_dir = _make_out_dir(out_dir)
 
-    rows, failures = _run_jobs(_fig3_single_size,
-                               [(800, -0.1), (400, -2.0)])
-
-    files = [io.write_table_csv(
-        out_dir / f"profiles_{_tag('delta', row['delta'])}_L{row['sites']}.csv",
-        row.pop("profile")) for row in rows]
+    rows, failures, files = _run_jobs(out_dir, _fig3_single_size,
+                                      [(800, -0.1), (400, -2.0)])
 
     checks = {}
     for row in rows:
@@ -681,7 +688,7 @@ def run_fig3b(out_dir: str | Path) -> dict:
         "failures": failures})
 
 
-def _fig4_single_gamma(gamma: float) -> dict:
+def _fig4_single_gamma(gamma: float) -> tuple[dict, dict]:
     g = -0.1
     eff = EffectiveParams(g=g, gamma=gamma, hopping=1.0)
     # Start at an eighth of the box; tails at the seam are ~1e-7 of peak.
@@ -709,7 +716,7 @@ def _fig4_single_gamma(gamma: float) -> dict:
         "relative_error": abs(measured - predicted) / abs(predicted),
         "method": solver.method,
         **_solve_counts(series),
-    }
+    }, {}
 
 
 def run_fig4(out_dir: str | Path) -> dict:
@@ -722,14 +729,14 @@ def run_fig4(out_dir: str | Path) -> dict:
     states the rate compares, at Jt = 0 and 4.
     """
     out_dir = _make_out_dir(out_dir)
-    rows, failures = _run_jobs(
-        _fig4_single_gamma,
+    rows, failures, files = _run_jobs(
+        out_dir, _fig4_single_gamma,
         [(gamma,) for gamma in (0.0125, 0.025, 0.05, 0.1, -0.0125)])
 
-    files = [io.write_table_csv(out_dir / "damping.csv", {
+    files.append(io.write_table_csv(out_dir / "damping.csv", {
         key: np.array([r[key] for r in rows])
         for key in ("gamma", "g_gamma_psi4", "measured_rate",
-                    "predicted_rate", "relative_error")})]
+                    "predicted_rate", "relative_error")}))
 
     checks = {}
     for r in rows:
@@ -741,7 +748,8 @@ def run_fig4(out_dir: str | Path) -> dict:
         "failures": failures})
 
 
-def _fig5_single_delta(delta: float, gamma: float, full: bool) -> dict:
+def _fig5_single_delta(delta: float, gamma: float, full: bool
+                       ) -> tuple[dict, dict]:
     g = -0.1
     eff = EffectiveParams(g=g, gamma=gamma, hopping=1.0)
     ss = stable_soliton(1.0, eff)
@@ -770,7 +778,7 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool) -> dict:
     # destabilized pulse crosses 1e-2 early on its way to losing the peak
     # entirely (NoPeakError once it dissolves into the background).
     breakup_time = None
-    residuals = []
+    fit_times, residuals = [], []
     for idx in range(0, len(series.times), round(fit_stride / step)):
         try:
             fit = fit_soliton(field0.with_psi(series.states[idx]),
@@ -778,23 +786,26 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool) -> dict:
         except NoPeakError:
             breakup_time = float(series.times[idx])
             break
-        residuals.append((float(series.times[idx]), fit.residual))
+        fit_times.append(float(series.times[idx]))
+        residuals.append(fit.residual)
         if not fit.converged:
             breakup_time = float(series.times[idx])
             break
 
-    out = {
+    tag = _tag("delta", delta)
+    row = {
         "delta": delta,
-        "psi_ss": ss.amplitude,
-        "short_times": series.times,
-        "short_peak": peak_series,
         "max_peak_deviation": float(np.max(np.abs(peak_series / ss.amplitude
                                                   - 1.0))),
-        "fit_residuals": residuals,
         "breakup_time": breakup_time,
     }
+    tables = {
+        f"short_peak_{tag}": {"t": series.times, "peak_amplitude": peak_series},
+        f"fit_residuals_{tag}": {"t": np.array(fit_times),
+                                 "residual": np.array(residuals)},
+    }
     if breakup_time is not None:
-        return out
+        return row, tables
 
     # Long collective run with envelope extraction.
     t_long = 2e6 if full else 2e4
@@ -806,13 +817,13 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool) -> dict:
                     solver_preset("collective"))
     psi_t = cseries.states.real[:, 0]
     env = envelope_deviation(cseries.times, psi_t, ss.amplitude, window)
-    out["collective_times"] = cseries.times
-    out["collective_psi"] = psi_t
-    out["envelope"] = env
-    out["envelope_non_increasing_after_first"] = bool(
-        np.all(np.diff(env.max_deviation) <= 1e-12)) if len(env.max_deviation) > 1 \
-        else False
-    return out
+    tables[f"collective_psi_{tag}"] = {"t": cseries.times, "psi": psi_t}
+    tables[f"envelope_{tag}"] = {"t_center": env.times,
+                                 "max_deviation": env.max_deviation}
+    row["envelope_non_increasing"] = bool(
+        len(env.max_deviation) > 1
+        and np.all(np.diff(env.max_deviation) <= 1e-12))
+    return row, tables
 
 
 def run_fig5(out_dir: str | Path, full: bool = False) -> dict:
@@ -829,45 +840,16 @@ def run_fig5(out_dir: str | Path, full: bool = False) -> dict:
     gamma = 0.1
     deltas = (-0.1, 0.01, 0.3)
 
-    rows, failures = _run_jobs(
-        _fig5_single_delta, [(d, gamma, full) for d in deltas])
+    rows, failures, files = _run_jobs(
+        out_dir, _fig5_single_delta, [(d, gamma, full) for d in deltas])
 
-    files = []
     checks = {}
-    summary_rows = []
     for row in rows:
-        tag = _tag("delta", row["delta"])
-        files.append(io.write_table_csv(out_dir / f"short_peak_{tag}.csv", {
-            "t": row["short_times"], "peak_amplitude": row["short_peak"],
-        }))
-        files.append(io.write_table_csv(out_dir / f"fit_residuals_{tag}.csv", {
-            "t": np.array([r[0] for r in row["fit_residuals"]]),
-            "residual": np.array([r[1] for r in row["fit_residuals"]]),
-        }))
-        summary = {
-            "delta": row["delta"],
-            "max_peak_deviation": row["max_peak_deviation"],
-            "breakup_time": row["breakup_time"],
-        }
-        if row["breakup_time"] is None:
-            files.append(io.write_table_csv(
-                out_dir / f"collective_psi_{tag}.csv", {
-                    "t": row["collective_times"],
-                    "psi": row["collective_psi"],
-                }))
-            env = row["envelope"]
-            files.append(io.write_table_csv(out_dir / f"envelope_{tag}.csv", {
-                "t_center": env.times, "max_deviation": env.max_deviation,
-            }))
-            summary["envelope_non_increasing"] = \
-                row["envelope_non_increasing_after_first"]
-        summary_rows.append(summary)
-
         if row["delta"] == 0.01:
             checks["small_perturbation_bounded"] = bool(
                 row["max_peak_deviation"] <= 2.0 * abs(row["delta"]))
             checks["small_perturbation_envelope_contracts"] = bool(
-                row.get("envelope_non_increasing_after_first", False))
+                row.get("envelope_non_increasing", False))
         if row["delta"] == 0.3:
             checks["large_perturbation_breaks_up"] = bool(
                 row["breakup_time"] is not None
@@ -877,11 +859,11 @@ def run_fig5(out_dir: str | Path, full: bool = False) -> dict:
                 row["breakup_time"] is None)
 
     return _finish_report(out_dir, files, {
-        "experiment": "fig5", "gamma": gamma, "rows": summary_rows,
+        "experiment": "fig5", "gamma": gamma, "rows": rows,
         "checks": checks, "failures": failures})
 
 
-def _fig6_single_gamma(gamma: float) -> dict:
+def _fig6_single_gamma(gamma: float) -> tuple[dict, dict]:
     g = -0.1
     eff = EffectiveParams(g=g, gamma=gamma, hopping=1.0)
     w0 = math.sqrt(20.0)
@@ -922,15 +904,13 @@ def _fig6_single_gamma(gamma: float) -> dict:
     band = float(np.max(np.abs(ratio[pre] - 1.0)))
     return {
         "gamma": gamma,
-        "times": series.times,
-        "e_two": e_two,
-        "e_single_pred": e_single,
-        "ratio": ratio,
         "t_pre_collision": t_pre,
         "pre_collision_band": band,
         "final_ratio": float(ratio[-1]),
         "max_ratio_deviation": float(np.max(np.abs(ratio - 1.0))),
-    }
+    }, {f"energy_{_tag('gamma', gamma)}": {
+        "t": series.times, "e_two": e_two, "e_single_pred": e_single,
+        "ratio": ratio}}
 
 
 def run_fig6(out_dir: str | Path) -> dict:
@@ -944,20 +924,11 @@ def run_fig6(out_dir: str | Path) -> dict:
     out_dir = _make_out_dir(out_dir)
     gammas = (0.0, 0.01)
 
-    rows, failures = _run_jobs(_fig6_single_gamma, [(g,) for g in gammas])
+    rows, failures, files = _run_jobs(out_dir, _fig6_single_gamma,
+                                      [(g,) for g in gammas])
 
-    files = []
     checks = {}
-    summary = []
     for row in rows:
-        tag = _tag("gamma", row["gamma"])
-        files.append(io.write_table_csv(out_dir / f"energy_{tag}.csv", {
-            "t": row["times"], "e_two": row["e_two"],
-            "e_single_pred": row["e_single_pred"], "ratio": row["ratio"],
-        }))
-        summary.append({k: row[k] for k in (
-            "gamma", "t_pre_collision", "pre_collision_band", "final_ratio",
-            "max_ratio_deviation")})
         if row["gamma"] == 0.0:
             checks["conservative_ratio_within_band"] = bool(
                 row["max_ratio_deviation"] < 0.01)
@@ -968,7 +939,7 @@ def run_fig6(out_dir: str | Path) -> dict:
                 1.0 - row["final_ratio"] >= row["pre_collision_band"])
 
     return _finish_report(out_dir, files, {
-        "experiment": "fig6", "rows": summary, "checks": checks,
+        "experiment": "fig6", "rows": rows, "checks": checks,
         "failures": failures})
 
 

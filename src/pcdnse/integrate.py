@@ -80,7 +80,9 @@ class IntegrationError(RuntimeError):
 
 
 class StepUnderflowError(IntegrationError):
-    """Step size shrank below floating-point resolution of the time axis."""
+    """Error control has no step it can take: the step shrank below the
+    floating-point resolution of the time axis, or the right-hand side is
+    not finite, so that no step has a finite size or error estimate."""
 
 
 class MaxStepsExceededError(IntegrationError):
@@ -343,9 +345,9 @@ def _initial_step(rhs, t0, y0, f0, t1, order, atol, rtol, stats) -> float:
     d1 = float(np.sqrt(np.mean((np.abs(f0) / scale) ** 2)))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
-    if h0 == 0.0:                        # d0 / d1 underflowed
+    if not h0 > 0.0:                     # d0 / d1 underflowed, or is NaN
         raise StepUnderflowError(
-            f"initial step size underflowed to 0 at t={t0!r}", stats)
+            f"initial step size is {h0!r} at t={t0!r}", stats)
     f1 = rhs(t0 + h0, y0 + h0 * f0)
     stats.n_rhs += 1
     d2 = float(np.sqrt(np.mean((np.abs(f1 - f0) / scale) ** 2))) / h0
@@ -487,8 +489,10 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
     ------
     StepUnderflowError
         If error control forces the step below the resolution of the time
-        variable, or the first step underflows to zero (typically a sign
-        of a defective or singular RHS).
+        variable, the first step is not positive (it underflows to zero or
+        is NaN), or a rejected step's error estimate is not finite: each
+        typically a sign of a defective or singular RHS, or of one that
+        overflows.
     MaxStepsExceededError
         If more than ``config.max_steps`` steps (accepted plus rejected)
         would be needed.
@@ -573,6 +577,11 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
         else:
             # Rejection leaves (t, y) untouched: the first slope stays valid.
             stats.n_rejected += 1
+            if not math.isfinite(err):
+                # a shorter step is not known to mend an inf or NaN estimate
+                raise StepUnderflowError(
+                    f"error estimate {err!r} of a step {h!r} at t={t!r}",
+                    stats)
             dt = h * min(1.0, max(fac_min, safety * err**(-exponent)))
 
     return TimeSeries(times.copy(), states, stats)

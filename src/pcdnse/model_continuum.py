@@ -98,6 +98,21 @@ class FieldState:
         return FieldState(psi, self.domain_length, self.boundary)
 
 
+def _soliton_terms(x: np.ndarray, psi: float, x0: float, v: float, w: float,
+                   d: float, phi: float
+                   ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The soliton ansatz on the points ``x`` and its two factors:
+
+        Psi(x) = psi sech(u/|w|) e^{i Phi},  Phi = u v + u^2 d + phi,
+
+    with u = x - x0, returned as (Psi, (sech(u/|w|), e^{i Phi})).
+    """
+    u = x - x0
+    envelope = sech(u / abs(w))
+    carrier = np.exp(1j * (u * v + u * u * d + phi))
+    return psi * envelope * carrier, (envelope, carrier)
+
+
 def make_soliton_field(
     coords: SolitonCoords,
     domain_length: float,
@@ -116,13 +131,13 @@ def make_soliton_field(
     contained fields interact with their periodic images (or the hard wall).
     """
     probe = FieldState(np.zeros(n_points, dtype=complex), domain_length, boundary)
-    u = probe.x - coords.x0
-    envelope = coords.psi * sech(u / coords.w)
-    phase = u * coords.v + u * u * coords.d + coords.phi
-    psi = envelope * np.exp(1j * phase)
+    psi, (envelope, _) = _soliton_terms(
+        probe.x, coords.psi, coords.x0, coords.v, coords.w, coords.d,
+        coords.phi)
     state = probe.with_psi(psi)
 
-    peak = float(np.max(np.abs(envelope)))
+    # psi >= 0 and rounding is monotone: the largest psi sech(u/w)
+    peak = coords.psi * float(np.max(envelope))
     edge = max(abs(psi[0]), abs(psi[-1]))
     if peak > 0 and edge > containment_tol * peak:
         warnings.warn(

@@ -41,6 +41,17 @@ def test_fit_roundtrip_recovers_all_six_coordinates():
     assert_allclose(got.phi, truth.phi, atol=1e-6)
 
 
+def test_fit_model_at_the_start_coordinates_is_the_start_field():
+    # one ansatz: the fit's model reproduces a generated field bit for bit
+    for truth in (SolitonCoords(psi=0.8, x0=70.0, v=0.3, w=5.0, d=0.01,
+                                phi=1.2),
+                  SolitonCoords(psi=1e-3, x0=13.7, v=-2.1, w=0.3, d=-0.2,
+                                phi=-4.0)):
+        field = make_soliton_field(truth, 200.0, 2000, containment_tol=1.0)
+        model = analysis._model_terms(field.x, truth.to_array())[0]
+        assert np.array_equal(model, field.psi)
+
+
 def test_fit_handles_soliton_straddling_the_seam():
     # periodic translate of a contained soliton, peak rolled to x = 1.0:
     # smooth across the seam, exactly what a moving soliton produces

@@ -415,6 +415,19 @@ def test_simulate_with_any_number_exits_0_2_or_3(key, value):
         assert rc != 2 or not out.exists()
 
 
+def test_simulate_of_a_field_whose_slope_overflows_exits_3_at_once(
+        tmp_path, capsys):
+    # |psi|^2 psi overflows, so there is no first step to take
+    cfg = small_config(initial={"soliton": {"psi": 1e200, "x0": 20.0,
+                                            "w": 1.0}},
+                       run={"t_final": 0.5, "snapshots": 3,
+                            "solver": {"max_steps": 2000}})
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "StepUnderflowError" in err and "accepted=0, rejected=0" in err
+
+
 def test_fit_command_stdout_and_file(tmp_path, capsys):
     coords = SolitonCoords(psi=1.0, x0=20.0, v=0.1, w=1.0, d=0.0, phi=0.3)
     snap = write_field_csv(tmp_path / "snap.csv",
@@ -646,7 +659,8 @@ def test_params_rejects_a_degenerate_reservoir(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--kappa=1e200", "--chi=1e200"])
+@pytest.mark.parametrize("flag", ["--kappa=1e200", "--chi=1e200",
+                                  "--delta-min=-1e200", "--delta-max=1e200"])
 def test_params_rejects_constants_out_of_floating_point_range(
         tmp_path, capsys, flag):
     out = tmp_path / "p"
@@ -655,6 +669,36 @@ def test_params_rejects_constants_out_of_floating_point_range(
     assert "params sweep: effective constants out of floating-point range" \
         in err
     assert not out.exists()
+
+
+_PARAMS_FLOATS = [key for key, kind in cli._SWEEP_FLAGS.items()
+                  if kind is float]
+
+
+@settings(max_examples=100, deadline=None)
+@example(flag="delta_min", value=-1e200)
+@example(flag="delta_max", value=1e200)
+@example(flag="kappa", value=1e200)
+@example(flag="chi", value=-1e200)
+@example(flag="eta", value=1.7976931348623157e308)
+@example(flag="hopping", value=-1.7976931348623157e308)
+@example(flag="kappa", value=5e-324)
+@example(flag="chi", value=math.nan)
+@example(flag="delta_min", value=-math.inf)
+@example(flag="delta_max", value=math.inf)
+@example(flag="hopping", value=0.0)
+@example(flag="kappa", value=-0.0)
+@given(flag=st.sampled_from(_PARAMS_FLOATS), value=st.floats())
+def test_params_with_any_number_exits_0_2_or_4(flag, value):
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main(["params", "--num", "11", "--out", str(Path(tmp, "p")),
+                   f"--{flag.replace('_', '-')}={value!r}"])
+    assert rc in (0, 2, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if (flag, value) in (("delta_min", -1e200), ("kappa", 1e200)):
+        assert rc == 2
 
 
 def test_params_rejects_a_count_too_large_to_allocate(tmp_path, capsys):

@@ -146,13 +146,39 @@ def test_max_steps_exceeded():
 
 
 def test_step_underflow_on_defective_rhs():
-    # rhs turns NaN past t=0.5; error control backs off until the step
-    # drops below time resolution
+    # rhs turns NaN past t=0.5; the first trial step that reaches it has a
+    # NaN error estimate, which no shorter step is known to mend
     def broken(t, y):
         return np.array([math.nan if t > 0.5 else 1.0])
 
     with pytest.raises(StepUnderflowError):
         solve(OdeProblem(broken, [0.0, 1.0], np.array([0.0])), SolverConfig())
+
+
+@pytest.mark.parametrize("method", ["tsit5", "rkf78"])
+def test_a_non_finite_error_estimate_ends_the_solve(method):
+    def broken(t, y):
+        return np.array([math.nan if t > 0.5 else 1.0])
+
+    with pytest.raises(StepUnderflowError, match="error estimate nan") as exc:
+        solve(OdeProblem(broken, [0.0, 1.0], np.array([0.0])),
+              SolverConfig(method=method, max_steps=2000))
+    # the steps below t = 0.5 are taken, the first one past it is the last
+    assert exc.value.stats.n_rejected == 1
+    assert exc.value.stats.n_accepted >= 1
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["plain", "lawson"])
+def test_a_first_step_that_is_not_finite_ends_the_solve(linear):
+    # a NaN slope at the start gives a NaN first step size
+    problem = OdeProblem(lambda t, y: np.full_like(y, math.nan), [0.0, 1.0],
+                         np.ones(4, dtype=complex),
+                         linear=LinearPart(np.zeros(4), np.fft.fft,
+                                           np.fft.ifft) if linear else None)
+    with pytest.raises(StepUnderflowError, match="initial step size") as exc:
+        solve(problem, SolverConfig(max_steps=2000))
+    stats = exc.value.stats
+    assert (stats.n_accepted, stats.n_rejected, stats.n_rhs) == (0, 0, 1)
 
 
 def test_problem_and_config_validation():

@@ -37,6 +37,9 @@ __all__ = [
 #: RMS occupancy misfit (relative to the peak) above which a fit is not
 #: considered a faithful single-soliton description.
 FIT_RESIDUAL_THRESHOLD = 1e-3
+#: The looser threshold that ``velocity_damping_estimate`` gates its two
+#: fits on (its docstring says why).
+DAMPING_RESIDUAL_THRESHOLD = 1e-2
 
 #: Points with |Psi|^2 at or below this fraction of the peak lie outside
 #: the window the fit iterates on.
@@ -115,22 +118,10 @@ class ProfileComparison:
     peak: float
 
 
-def _model_terms(x: np.ndarray, theta: np.ndarray
-                 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The ansatz m = A sech(s) e^{i Phi} at ``theta`` and its two factors
-    (sech(s), e^{i Phi}), s = u/|w| and Phi = u v + u^2 d + phi
-    (u = x - x0)."""
-    return _soliton_terms(x, *theta)
-
-
-def _model_field(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    return _model_terms(x, theta)[0]
-
-
 def _model_jacobian(x: np.ndarray, theta: np.ndarray,
                     factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Derivatives of ``_model_field`` by (A, x0, v, w, d, phi), (n, 6),
-    from the ``factors`` that ``_model_terms(x, theta)`` returns.
+    """Derivatives of the ansatz by (A, x0, v, w, d, phi), (n, 6), from the
+    ``factors`` that ``_soliton_terms(x, *theta)`` returns.
 
     With m = A sech(s) e^{i Phi}, s = (x - x0)/|w| and
     Phi = u v + u^2 d + phi (u = x - x0).
@@ -193,7 +184,7 @@ def _wrap_phase(phi: float) -> float:
 
 def _levenberg_marquardt(x: np.ndarray, psi: np.ndarray,
                          theta: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Least-squares fit of ``_model_field`` to ``psi``, started at ``theta``.
+    """Least-squares fit of the ansatz to ``psi``, started at ``theta``.
 
     Levenberg-Marquardt on the normal equations Re(J^H J), scaled by
     D^2, the running maximum of diag(Re(J^H J)) (Marquardt 1963; More
@@ -206,7 +197,7 @@ def _levenberg_marquardt(x: np.ndarray, psi: np.ndarray,
     iteration cap did).
     """
     # The Jacobian at an accepted point reuses the factors of its trial.
-    m, factors = _model_terms(x, theta)
+    m, factors = _soliton_terms(x, *theta)
     r = m - psi
     cost = float(np.vdot(r, r).real)
     lam = _LM_LAMBDA0
@@ -223,7 +214,7 @@ def _levenberg_marquardt(x: np.ndarray, psi: np.ndarray,
         small = (math.sqrt(float(scale @ step**2))
                  <= _FIT_TOL * math.sqrt(float(scale @ theta**2)))
         trial = theta + step
-        m_trial, factors_trial = _model_terms(x, trial)
+        m_trial, factors_trial = _soliton_terms(x, *trial)
         r_trial = m_trial - psi
         cost_trial = float(np.vdot(r_trial, r_trial).real)
         fresh = cost_trial < cost
@@ -287,7 +278,7 @@ def fit_soliton(
     if field.boundary == PERIODIC:
         x0 = (x0 - shift * dx) % field.domain_length
 
-    model_occ = np.abs(_model_field(x, theta)) ** 2
+    model_occ = np.abs(_soliton_terms(x, *theta)[0]) ** 2
     residual = float(np.sqrt(np.mean((model_occ - occ) ** 2))) / peak
 
     coords = SolitonCoords(psi=float(amp), x0=float(x0), v=float(v),
@@ -302,7 +293,6 @@ def velocity_damping_estimate(
     t_start: float,
     t_end: float,
     hopping: float = 1.0,
-    residual_threshold: float = 1e-2,
 ) -> DampingEstimate:
     """Velocity slope between the snapshots ``start`` and ``end``.
 
@@ -317,16 +307,16 @@ def velocity_damping_estimate(
     ansatz manifold and settles at the damped rate immediately.  Soliton
     fits still run at both endpoints, and a non-converged fit raises,
     since the slope is meaningless once the pulse loses its shape.  The
-    gate threshold is looser than the breakup default: the dissipative
-    dressing alone contributes an O(gamma) residual (~1.5e-3 at
-    gamma = 0.1) that must not count as shape loss.
+    gate, ``DAMPING_RESIDUAL_THRESHOLD``, is looser than the breakup
+    default: the dissipative dressing alone contributes an O(gamma)
+    residual (~1.5e-3 at gamma = 0.1) that must not count as shape loss.
     """
     t_start, t_end = float(t_start), float(t_end)
     if not t_end > t_start:
         raise ValueError("t_end must exceed t_start")
 
-    fit0 = fit_soliton(start, residual_threshold=residual_threshold)
-    fit1 = fit_soliton(end, residual_threshold=residual_threshold)
+    fit0 = fit_soliton(start, residual_threshold=DAMPING_RESIDUAL_THRESHOLD)
+    fit1 = fit_soliton(end, residual_threshold=DAMPING_RESIDUAL_THRESHOLD)
     if not (fit0.converged and fit1.converged):
         raise ValueError(
             "endpoint snapshot is not a clean single soliton; residuals "

@@ -6,9 +6,10 @@ and a checksummed manifest into the output directory.  The ``run_figN``
 functions orchestrate multi-run comparisons, each emitting plot-ready CSVs
 plus a ``report.json`` whose ``checks`` section holds named pass/fail
 booleans.  Their sub-runs are independent and run in order on the calling
-thread.  Each returns its ``report.json`` row and its CSV tables, which
-one runner writes; a sub-run that raises is recorded, writes nothing, and
-the others still report.
+thread.  Each returns its ``report.json`` row and its CSV tables; a
+sub-run that raises is recorded and the others still report.  Every run
+computes first and writes last: one writer, :func:`_write_run`, writes all
+of its files and then its manifest.
 """
 
 from __future__ import annotations
@@ -98,10 +99,6 @@ class ExperimentConfig:
 # single runs
 
 
-def _snapshot_indices(n_snapshots: int, n_files: int) -> list[int]:
-    return sorted(set(np.linspace(0, n_snapshots - 1, n_files).astype(int)))
-
-
 def _make_out_dir(out_dir: str | Path) -> Path:
     """``out_dir`` as a path, created with its parents if missing.
 
@@ -117,36 +114,41 @@ def _make_out_dir(out_dir: str | Path) -> Path:
     return out_dir
 
 
-def _write_field_outputs(out_dir: Path, series_fields: list[FieldState],
-                         times: np.ndarray, cfg: Mapping,
-                         files: list[Path]) -> None:
-    indices = _snapshot_indices(len(times), min(cfg["output"]["field_files"],
-                                                len(times)))
-    snap_dir = _make_out_dir(out_dir / "snapshots")
-    for i in indices:
-        meta = {"t": io.format_float(times[i])}
-        if "csv" in cfg["output"]["formats"]:
-            files.append(io.write_field_csv(
-                snap_dir / f"snap_{i:04d}.csv", series_fields[i], meta))
-        if "json" in cfg["output"]["formats"]:
-            files.append(io.write_field_json(
-                snap_dir / f"snap_{i:04d}.json", series_fields[i], meta))
+def _write_run(out_dir: Path, manifest_extra: Mapping, documents: Mapping,
+               tables: Mapping, snapshots: Mapping, formats) -> Path:
+    """Write a run's JSON ``documents`` by file name, its ``tables`` of
+    columns as ``<stem>.csv`` and its ``snapshots``, (field, time) pairs by
+    stem, under ``snapshots/`` in each of ``formats``; then its manifest,
+    whose path it returns.  A snapshot's files are written one after the
+    other, so its psi is rendered once for both."""
+    files = [io.write_json(out_dir / name, payload)
+             for name, payload in documents.items()]
+    files += [io.write_table_csv(out_dir / f"{stem}.csv", columns)
+              for stem, columns in tables.items()]
+    writers = {"csv": io.write_field_csv, "json": io.write_field_json}
+    snap_dir = _make_out_dir(out_dir / "snapshots") if snapshots else None
+    files += [writers[fmt](snap_dir / f"{stem}.{fmt}", field,
+                           {"t": io.format_float(t)})
+              for stem, (field, t) in snapshots.items()
+              for fmt in writers if fmt in formats]
+    return io.write_manifest(out_dir, files, manifest_extra)
 
 
 def run_simulation(config: Mapping, out_dir: str | Path) -> dict:
     """Execute one configured run; write outputs; return the manifest dict.
 
     Every input is built before ``out_dir`` is created, so a rejected
-    config raises :class:`ConfigError` and writes nothing.
+    config raises :class:`ConfigError` and writes nothing.  Every file is
+    written after the run's last computation, so a run that raises leaves
+    ``out_dir`` empty.
     """
     cfg = normalize_config(config)
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always", ContainmentWarning)
         eff, res, chain, start, times, problem, solver = _build_run(cfg)
         out_dir = _make_out_dir(out_dir)
-        files = [io.write_json(out_dir / "config_echo.json", cfg)]
-        result = _dispatch_run(cfg, eff, res, chain, start, times, problem,
-                               solver, out_dir, files)
+        result, tables, snapshots = _dispatch_run(
+            cfg, eff, res, chain, start, times, problem, solver)
         caught = [str(w.message) for w in wlist
                   if issubclass(w.category, ContainmentWarning)]
 
@@ -156,19 +158,15 @@ def run_simulation(config: Mapping, out_dir: str | Path) -> dict:
     if caught:
         manifest_extra["warnings"] = caught
     manifest_extra.update(result)
-    manifest = io.write_manifest(out_dir, files, manifest_extra)
+    manifest = _write_run(out_dir, manifest_extra, {"config_echo.json": cfg},
+                          tables, snapshots, cfg["output"]["formats"])
     with manifest.open() as fh:
         return json.load(fh)
 
 
-def _diagnostics_and_flags(times, n_series, e_series, peak_series, out_dir,
-                           files) -> dict:
-    files.append(io.write_table_csv(out_dir / "diagnostics.csv", {
-        "t": times,
-        "particle_number": np.asarray(n_series),
-        "energy": np.asarray(e_series),
-        "peak_amplitude": np.asarray(peak_series),
-    }))
+def _diagnostics_and_flags(times, n_series, e_series, peak_series
+                           ) -> tuple[dict, dict]:
+    """The drift flags of a run and its diagnostics table."""
     n0 = n_series[0]
     e0 = e_series[0]
     particle_drift = float(np.max(np.abs(np.asarray(n_series) / n0 - 1.0))) \
@@ -179,7 +177,10 @@ def _diagnostics_and_flags(times, n_series, e_series, peak_series, out_dir,
         "particle_conserved": bool(particle_drift < 1e-6),
         "energy_drift": energy_drift,
     }
-    return diag
+    return diag, {"diagnostics": {
+        "t": times, "particle_number": np.asarray(n_series),
+        "energy": np.asarray(e_series),
+        "peak_amplitude": np.asarray(peak_series)}}
 
 
 def read_snapshot(path: str | Path, where: str) -> FieldState:
@@ -352,8 +353,10 @@ def _solve_counts(series: TimeSeries) -> dict:
     }
 
 
-def _dispatch_run(cfg, eff, res, chain, start, times, problem, solver,
-                  out_dir, files) -> dict:
+def _dispatch_run(cfg, eff, res, chain, start, times, problem, solver
+                  ) -> tuple[dict, dict, dict]:
+    """Run the model; return its manifest block, its tables by file stem
+    and its field snapshots by file stem."""
     model = cfg["model"]
     if model in ("pcdnse", "lattice", "langevin"):
         series = site_series = solve(problem, solver)
@@ -363,9 +366,12 @@ def _dispatch_run(cfg, eff, res, chain, start, times, problem, solver,
         n_series = [particle_number(f) for f in fields]
         e_series = [field_energy(f, eff) for f in fields]
         peak = [float(np.max(np.abs(f.psi))) for f in fields]
-        _write_field_outputs(out_dir, fields, site_series.times, cfg, files)
-        diag = _diagnostics_and_flags(site_series.times, n_series, e_series,
-                                      peak, out_dir, files)
+        t = site_series.times
+        # at most one file per snapshot, so the indices are distinct
+        n_files = min(cfg["output"]["field_files"], len(t))
+        snapshots = {f"snap_{i:04d}": (fields[i], t[i])
+                     for i in np.linspace(0, len(t) - 1, n_files).astype(int)}
+        diag, tables = _diagnostics_and_flags(t, n_series, e_series, peak)
         if model == "langevin":
             r1, r2 = weak_coupling_ratios(res, chain, max(peak))
             diag["weak_coupling"] = {
@@ -376,36 +382,33 @@ def _dispatch_run(cfg, eff, res, chain, start, times, problem, solver,
         elif eff.gamma == 0.0:
             # a langevin run's energy is the effective frame's only
             diag["energy_conserved"] = bool(diag["energy_drift"] < 1e-6)
-        return {"integrator": _solve_counts(series), "diagnostics": diag}
+        return ({"integrator": _solve_counts(series), "diagnostics": diag},
+                tables, snapshots)
 
     if model == "collective":
         series = solve(problem, solver)
         psi, x0, v, w, d, phi = series.states.real.T
-        files.append(io.write_table_csv(out_dir / "trajectory.csv", {
-            "t": series.times, "psi": psi, "x0": x0, "v": v, "w": w,
-            "d": d, "phi": phi,
-        }))
         coords = [SolitonCoords(*row) for row in series.states.real]
         n_series = [c.particle_number for c in coords]
         e_series = [ansatz_energy(c, eff) for c in coords]
-        diag = _diagnostics_and_flags(series.times, n_series, e_series, psi,
-                                      out_dir, files)
-        return {"integrator": _solve_counts(series), "diagnostics": diag}
+        diag, tables = _diagnostics_and_flags(series.times, n_series,
+                                              e_series, psi)
+        tables["trajectory"] = {"t": series.times, "psi": psi, "x0": x0,
+                                "v": v, "w": w, "d": d, "phi": phi}
+        return ({"integrator": _solve_counts(series), "diagnostics": diag},
+                tables, {})
 
     # stable: the exact solution on the stable manifold; nothing integrated
     ss = start
     s = cfg["initial"]["stable"]
     x0_t, v_t, phi_t = stable_closed_form(times, s["x0"], s["v"], s["phi"], ss)
-    files.append(io.write_table_csv(out_dir / "trajectory.csv", {
-        "t": times, "x0": x0_t, "v": v_t, "phi": phi_t,
-        "energy": np.array([ss.energy(v) for v in v_t]),
-    }))
     return {
         "stable_soliton": {
             "particle_number": ss.particle_number, "width": ss.width,
             "amplitude": ss.amplitude, "damping_rate": ss.damping_rate,
         },
-    }
+    }, {"trajectory": {"t": times, "x0": x0_t, "v": v_t, "phi": phi_t,
+                       "energy": np.array([ss.energy(v) for v in v_t])}}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +431,9 @@ def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
     """
     if num < 5:
         raise ConfigError("params sweep needs at least 5 points")
+    for key, value in {"delta_min": delta_min, "delta_max": delta_max}.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     if delta_min >= delta_max:
         raise ConfigError("delta_min must be below delta_max")
     try:
@@ -457,10 +463,6 @@ def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
     gam = np.array([eff.gamma for eff in effs])
     out_dir = _make_out_dir(out_dir)
 
-    files = [io.write_table_csv(out_dir / "sweep.csv", {
-        "delta": deltas, "delta_g": dg, "gamma": gam,
-    })]
-
     # A check is reported only when the sweep has the points it tests.
     checks: dict[str, bool] = {}
     on_axis = np.isclose(deltas, 0.0, atol=1e-12)
@@ -489,8 +491,9 @@ def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
     report = {"checks": checks, "sweep_points": num,
               "parameters": {"chi": chi, "eta": eta, "kappa": kappa,
                              "hopping": hopping}}
-    files.append(io.write_json(out_dir / "report.json", report))
-    io.write_manifest(out_dir, files, {"experiment": "params_sweep"})
+    sweep = {"delta": deltas, "delta_g": dg, "gamma": gam}
+    _write_run(out_dir, {"experiment": "params_sweep"},
+               {"report.json": report}, {"sweep": sweep}, {}, ())
     return report
 
 
@@ -555,33 +558,31 @@ def _fig3_single_size(sites: int, delta: float) -> tuple[dict, dict]:
         "occ_lattice": occ_lattice}}
 
 
-def _run_jobs(out_dir: Path, fn: Callable[..., tuple[dict, dict]], jobs
-              ) -> tuple[list[dict], list[str], list[Path]]:
+def _run_jobs(fn: Callable[..., tuple[dict, dict]], jobs
+              ) -> tuple[list[dict], list[str], dict]:
     """Run ``fn(*job)`` for every job, in job order.
 
     Each sub-run returns its report row and its tables, columns by file
-    stem; the tables of a sub-run that finishes are written to ``out_dir``
-    as CSV.  Returns the rows of the sub-runs that finished, one error
+    stem.  Returns the rows of the sub-runs that finished, one error
     message per sub-run that raised (partial datasets are allowed), and
-    the files written.
+    the tables of the sub-runs that finished.
     """
-    rows, failures, files = [], [], []
+    rows, failures, tables = [], [], {}
     for job in jobs:
         try:
-            row, tables = fn(*job)
+            row, job_tables = fn(*job)
         except Exception as exc:  # noqa: BLE001 - recorded in the report
             failures.append(f"{type(exc).__name__}: {exc}")
             continue
         rows.append(row)
-        files += [io.write_table_csv(out_dir / f"{stem}.csv", columns)
-                  for stem, columns in tables.items()]
-    return rows, failures, files
+        tables.update(job_tables)
+    return rows, failures, tables
 
 
-def _finish_report(out_dir: Path, files: list[Path], report: dict) -> dict:
-    """Write ``report.json`` and the manifest of every file written."""
-    files.append(io.write_json(out_dir / "report.json", report))
-    io.write_manifest(out_dir, files, {"experiment": report["experiment"]})
+def _finish_report(out_dir: Path, tables: dict, report: dict) -> dict:
+    """Write ``report.json``, the tables and the manifest; return it."""
+    _write_run(out_dir, {"experiment": report["experiment"]},
+               {"report.json": report}, tables, {}, ())
     return report
 
 
@@ -611,9 +612,6 @@ def run_fig3a(out_dir: str | Path, full: bool = False) -> dict:
         _field_problem(field_ref, eff_ref, np.array([0.0, 50.0])),
         solver_preset("pcdnse_tight"))
     occ_ref = np.abs(ref_series.states[-1]) ** 2
-    files = [io.write_table_csv(out_dir / "pcdnse_reference.csv", {
-        "x": field_ref.x, "occupation": occ_ref,
-    })]
 
     def single_size(sites: int) -> tuple[dict, dict]:
         row, tables = _fig3_single_size(sites, -0.1)
@@ -629,9 +627,9 @@ def run_fig3a(out_dir: str | Path, full: bool = False) -> dict:
             "linf_rel_lattice_vs_continuum",
             "linf_rel_langevin_vs_continuum")}, {f"profiles_L{sites}": profile}
 
-    rows, failures, profiles = _run_jobs(
-        out_dir, single_size, [(sites,) for sites in sizes])
-    files += profiles
+    rows, failures, tables = _run_jobs(single_size,
+                                       [(sites,) for sites in sizes])
+    tables["pcdnse_reference"] = {"x": field_ref.x, "occupation": occ_ref}
 
     checks = {
         f"elimination_agrees_L{r['sites']}":
@@ -647,7 +645,7 @@ def run_fig3a(out_dir: str | Path, full: bool = False) -> dict:
     checks["continuum_error_improves_with_length"] = bool(
         len(errs) >= 2 and errs[-1] < errs[0])
     checks["largest_size_tracks_continuum"] = bool(errs and errs[-1] < 0.5)
-    return _finish_report(out_dir, files, {
+    return _finish_report(out_dir, tables, {
         "experiment": "fig3a", "rows": rows, "checks": checks,
         "failures": failures})
 
@@ -669,8 +667,8 @@ def run_fig3b(out_dir: str | Path) -> dict:
     """
     out_dir = _make_out_dir(out_dir)
 
-    rows, failures, files = _run_jobs(out_dir, _fig3_single_size,
-                                      [(800, -0.1), (400, -2.0)])
+    rows, failures, tables = _run_jobs(_fig3_single_size,
+                                       [(800, -0.1), (400, -2.0)])
 
     checks = {}
     for row in rows:
@@ -683,7 +681,7 @@ def run_fig3b(out_dir: str | Path) -> dict:
                 row["linf_rel_langevin_vs_lattice"] > 0.05)
             checks["strong_detuning_flagged"] = bool(
                 not row["weak_coupling_ok"])
-    return _finish_report(out_dir, files, {
+    return _finish_report(out_dir, tables, {
         "experiment": "fig3b", "rows": rows, "checks": checks,
         "failures": failures})
 
@@ -729,21 +727,20 @@ def run_fig4(out_dir: str | Path) -> dict:
     states the rate compares, at Jt = 0 and 4.
     """
     out_dir = _make_out_dir(out_dir)
-    rows, failures, files = _run_jobs(
-        out_dir, _fig4_single_gamma,
+    rows, failures, tables = _run_jobs(
+        _fig4_single_gamma,
         [(gamma,) for gamma in (0.0125, 0.025, 0.05, 0.1, -0.0125)])
-
-    files.append(io.write_table_csv(out_dir / "damping.csv", {
+    tables["damping"] = {
         key: np.array([r[key] for r in rows])
         for key in ("gamma", "g_gamma_psi4", "measured_rate",
-                    "predicted_rate", "relative_error")}))
+                    "predicted_rate", "relative_error")}
 
     checks = {}
     for r in rows:
         tag = _tag("gamma", r["gamma"])
         tol = 0.10 if r["gamma"] < 0 else 0.05
         checks[f"damping_matches_{tag}"] = bool(r["relative_error"] < tol)
-    return _finish_report(out_dir, files, {
+    return _finish_report(out_dir, tables, {
         "experiment": "fig4", "rows": rows, "checks": checks,
         "failures": failures})
 
@@ -840,8 +837,8 @@ def run_fig5(out_dir: str | Path, full: bool = False) -> dict:
     gamma = 0.1
     deltas = (-0.1, 0.01, 0.3)
 
-    rows, failures, files = _run_jobs(
-        out_dir, _fig5_single_delta, [(d, gamma, full) for d in deltas])
+    rows, failures, tables = _run_jobs(
+        _fig5_single_delta, [(d, gamma, full) for d in deltas])
 
     checks = {}
     for row in rows:
@@ -858,7 +855,7 @@ def run_fig5(out_dir: str | Path, full: bool = False) -> dict:
             checks["negative_perturbation_survives"] = bool(
                 row["breakup_time"] is None)
 
-    return _finish_report(out_dir, files, {
+    return _finish_report(out_dir, tables, {
         "experiment": "fig5", "gamma": gamma, "rows": rows,
         "checks": checks, "failures": failures})
 
@@ -924,8 +921,8 @@ def run_fig6(out_dir: str | Path) -> dict:
     out_dir = _make_out_dir(out_dir)
     gammas = (0.0, 0.01)
 
-    rows, failures, files = _run_jobs(out_dir, _fig6_single_gamma,
-                                      [(g,) for g in gammas])
+    rows, failures, tables = _run_jobs(_fig6_single_gamma,
+                                       [(g,) for g in gammas])
 
     checks = {}
     for row in rows:
@@ -938,7 +935,7 @@ def run_fig6(out_dir: str | Path) -> dict:
             checks["collision_enhances_dissipation"] = bool(
                 1.0 - row["final_ratio"] >= row["pre_collision_band"])
 
-    return _finish_report(out_dir, files, {
+    return _finish_report(out_dir, tables, {
         "experiment": "fig6", "rows": rows, "checks": checks,
         "failures": failures})
 

@@ -20,6 +20,7 @@ from pcdnse.collective import SolitonCoords
 from pcdnse.integrate import OdeProblem, solve, solver_preset
 from pcdnse.model_continuum import (
     FieldState,
+    _soliton_terms,
     make_pcdnse_ode,
     make_soliton_field,
 )
@@ -48,7 +49,7 @@ def test_fit_model_at_the_start_coordinates_is_the_start_field():
                   SolitonCoords(psi=1e-3, x0=13.7, v=-2.1, w=0.3, d=-0.2,
                                 phi=-4.0)):
         field = make_soliton_field(truth, 200.0, 2000, containment_tol=1.0)
-        model = analysis._model_terms(field.x, truth.to_array())[0]
+        model = _soliton_terms(field.x, *truth.to_array())[0]
         assert np.array_equal(model, field.psi)
 
 
@@ -82,15 +83,14 @@ def test_fit_open_boundary_field():
 def test_model_jacobian_matches_central_differences(theta):
     x = np.linspace(-20.0, 20.0, 801)
     theta = np.array(theta)
-    jac = analysis._model_jacobian(x, theta,
-                                   analysis._model_terms(x, theta)[1])
+    jac = analysis._model_jacobian(x, theta, _soliton_terms(x, *theta)[1])
     for j in range(6):
         h = 1e-6 * max(1.0, abs(theta[j]))
         up, down = theta.copy(), theta.copy()
         up[j] += h
         down[j] -= h
-        fd = (analysis._model_field(x, up)
-              - analysis._model_field(x, down)) / (2.0 * h)
+        fd = (_soliton_terms(x, *up)[0]
+              - _soliton_terms(x, *down)[0]) / (2.0 * h)
         err = np.linalg.norm(jac[:, j] - fd) / np.linalg.norm(jac[:, j])
         assert err < 1e-6, (j, err)     # measured <= 2.9e-9
 
@@ -114,8 +114,8 @@ def _central_difference_jacobian(x, theta, factors):
         up, down = theta.copy(), theta.copy()
         up[j] += h
         down[j] -= h
-        jac[:, j] = (analysis._model_field(x, up)
-                     - analysis._model_field(x, down)) / (2.0 * h)
+        jac[:, j] = (_soliton_terms(x, *up)[0]
+                     - _soliton_terms(x, *down)[0]) / (2.0 * h)
     return jac
 
 
@@ -173,12 +173,11 @@ def _least_squares_fit(field: FieldState) -> np.ndarray:
         psi = np.roll(psi, shift)
 
     def residuals(theta):
-        r = analysis._model_field(x, theta) - psi
+        r = _soliton_terms(x, *theta)[0] - psi
         return np.concatenate([r.real, r.imag])
 
     def jacobian(theta):
-        j = analysis._model_jacobian(x, theta,
-                                     analysis._model_terms(x, theta)[1])
+        j = analysis._model_jacobian(x, theta, _soliton_terms(x, *theta)[1])
         return np.concatenate([j.real, j.imag])
 
     theta = least_squares(

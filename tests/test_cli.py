@@ -8,6 +8,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,16 @@ def test_simulate_numerical_failure_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "max_steps=5" in err
+
+
+def test_a_simulate_run_that_exits_3_leaves_its_directory_empty(tmp_path):
+    # every file is written after the run's last computation
+    cfg = small_config()
+    cfg["run"]["solver"] = {"max_steps": 5}
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 3
+    assert out.is_dir() and list(out.iterdir()) == []
 
 
 def stable_config(**overrides):
@@ -690,15 +701,20 @@ _PARAMS_FLOATS = [key for key, kind in cli._SWEEP_FLAGS.items()
 @example(flag="kappa", value=-0.0)
 @given(flag=st.sampled_from(_PARAMS_FLOATS), value=st.floats())
 def test_params_with_any_number_exits_0_2_or_4(flag, value):
+    # no value warns: a warning here is an input that was not checked
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()) as err:
+            contextlib.redirect_stderr(io.StringIO()) as err, \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(["params", "--num", "11", "--out", str(Path(tmp, "p")),
                    f"--{flag.replace('_', '-')}={value!r}"])
     assert rc in (0, 2, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if (flag, value) in (("delta_min", -1e200), ("kappa", 1e200)):
         assert rc == 2
+    if flag.startswith("delta") and not math.isfinite(value):
+        assert f"{flag} must be finite, got {value!r}" in err.getvalue()
 
 
 def test_params_rejects_a_count_too_large_to_allocate(tmp_path, capsys):

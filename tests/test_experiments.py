@@ -676,7 +676,8 @@ def test_run_experiment_rejects_threads_other_than_one(tmp_path, threads):
     assert not (tmp_path / "x").exists()
 
 
-def test_run_jobs_runs_in_order_and_keeps_the_rows_that_finish(tmp_path):
+def test_run_jobs_runs_in_order_and_keeps_the_rows_that_finish(
+        tmp_path, monkeypatch):
     calls = []
 
     def job(i):
@@ -686,14 +687,14 @@ def test_run_jobs_runs_in_order_and_keeps_the_rows_that_finish(tmp_path):
         return {"i": i}, {f"a_{i}": {"x": np.arange(2.0) + i},
                           f"b_{i}": {"y": np.array([0.5])}}
 
-    rows, failures, files = experiments._run_jobs(
-        tmp_path, job, [(0,), (1,), (2,)])
+    monkeypatch.chdir(tmp_path)
+    rows, failures, tables = experiments._run_jobs(job, [(0,), (1,), (2,)])
     assert calls == [(i, threading.get_ident()) for i in range(3)]
     assert rows == [{"i": 0}, {"i": 2}]
     assert failures == ["ValueError: sub-run 1 broke"]
     # the tables of the sub-runs that finished, and nothing of the other
-    assert files == [tmp_path / name for name in
-                     ("a_0.csv", "b_0.csv", "a_2.csv", "b_2.csv")]
-    assert sorted(tmp_path.iterdir()) == sorted(files)
-    assert files[2].read_text() == "x\n2\n3\n"
-    assert files[3].read_text() == "y\n0.5\n"
+    assert list(tables) == ["a_0", "b_0", "a_2", "b_2"]
+    np.testing.assert_array_equal(tables["a_2"]["x"], [2.0, 3.0])
+    np.testing.assert_array_equal(tables["b_2"]["y"], [0.5])
+    # nothing is written
+    assert list(tmp_path.iterdir()) == []

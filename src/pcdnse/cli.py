@@ -130,6 +130,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "energy_conserved"):
         if key in diag:
             print(f"  {key}: {diag[key]}")
+    for message in manifest.get("warnings", []):
+        print(f"  warning: {message}")
     return 0
 
 

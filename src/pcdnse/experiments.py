@@ -2,14 +2,16 @@
 
 :func:`run_simulation` executes one configured run (any of the five model
 levels) and writes snapshots, diagnostics, a fully-defaulted config echo,
-and a checksummed manifest into the output directory.  The ``run_figN``
-functions orchestrate multi-run comparisons, each emitting plot-ready CSVs
-plus a ``report.json`` whose ``checks`` section holds named pass/fail
-booleans.  Their sub-runs are independent and run in order on the calling
-thread.  Each returns its ``report.json`` row and its CSV tables; a
-sub-run that raises is recorded and the others still report.  Every run
-computes first and writes last: one writer, :func:`_write_run`, writes all
-of its files and then its manifest.
+and a checksummed manifest into the output directory.  The canned
+experiments, :func:`params_sweep` and the ``run_figN`` functions, only
+compute: each returns its report, whose ``checks`` section holds named
+pass/fail booleans, and its plot-ready tables by file stem.  Their sub-runs
+are independent and run in order on the calling thread.  Each returns its
+report row and its tables; a sub-run that raises is recorded and the
+others still report.  Only the three entry points, :func:`run_simulation`,
+:func:`run_params_sweep` and :func:`run_experiment`, create a directory,
+and each writes through one writer, :func:`_write_run`, after the run's
+last computation.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .integrate import (
     solver_preset,
 )
 from .model_continuum import (
-    ContainmentWarning,
     FieldState,
     dispersion_part,
     field_energy,
@@ -140,17 +141,17 @@ def run_simulation(config: Mapping, out_dir: str | Path) -> dict:
     Every input is built before ``out_dir`` is created, so a rejected
     config raises :class:`ConfigError` and writes nothing.  Every file is
     written after the run's last computation, so a run that raises leaves
-    ``out_dir`` empty.
+    ``out_dir`` empty.  The manifest's ``warnings`` lists each distinct
+    warning the run raised, in order, whatever the process's filters.
     """
     cfg = normalize_config(config)
     with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always", ContainmentWarning)
+        warnings.simplefilter("default")    # once per line that raises it
         eff, res, chain, start, times, problem, solver = _build_run(cfg)
         out_dir = _make_out_dir(out_dir)
         result, tables, snapshots = _dispatch_run(
             cfg, eff, res, chain, start, times, problem, solver)
-        caught = [str(w.message) for w in wlist
-                  if issubclass(w.category, ContainmentWarning)]
+    caught = list(dict.fromkeys(str(w.message) for w in wlist))
 
     manifest_extra: dict = {"model": cfg["model"]}
     if res is not None:
@@ -415,11 +416,12 @@ def _dispatch_run(cfg, eff, res, chain, start, times, problem, solver
 # parameter sweep (cavity response versus detuning)
 
 
-def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
-                     kappa: float = 1.0, hopping: float = 1.0,
-                     delta_min: float = -3.0, delta_max: float = 3.0,
-                     num: int = 601) -> dict:
-    """Sweep the detuning and tabulate (delta, delta_g, gamma).
+def params_sweep(chi: float = 0.05, eta: float = 1.0, kappa: float = 1.0,
+                 hopping: float = 1.0, delta_min: float = -3.0,
+                 delta_max: float = 3.0, num: int = 601
+                 ) -> tuple[dict, dict]:
+    """Sweep the detuning and tabulate (delta, delta_g, gamma) as the
+    ``sweep`` table; return the report and that table.
 
     Also verifies the analytic structure of the sweep: both effective
     constants vanish at zero detuning and are odd in it, gamma is positive
@@ -461,7 +463,6 @@ def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
         raise ConfigError(f"params sweep: num = {num}: {exc}") from exc
     dg = np.array([eff.delta_g for eff in effs])
     gam = np.array([eff.gamma for eff in effs])
-    out_dir = _make_out_dir(out_dir)
 
     # A check is reported only when the sweep has the points it tests.
     checks: dict[str, bool] = {}
@@ -491,9 +492,16 @@ def run_params_sweep(out_dir: str | Path, chi: float = 0.05, eta: float = 1.0,
     report = {"checks": checks, "sweep_points": num,
               "parameters": {"chi": chi, "eta": eta, "kappa": kappa,
                              "hopping": hopping}}
-    sweep = {"delta": deltas, "delta_g": dg, "gamma": gam}
-    _write_run(out_dir, {"experiment": "params_sweep"},
-               {"report.json": report}, {"sweep": sweep}, {}, ())
+    return report, {"sweep": {"delta": deltas, "delta_g": dg, "gamma": gam}}
+
+
+def run_params_sweep(out_dir: str | Path, **sweep) -> dict:
+    """Run :func:`params_sweep` with the keyword arguments ``sweep``, then
+    create ``out_dir`` and write the report, the table and the manifest
+    into it; return the report.  A rejected sweep leaves no directory."""
+    report, tables = params_sweep(**sweep)
+    _write_run(_make_out_dir(out_dir), {"experiment": "params_sweep"},
+               {"report.json": report}, tables, {}, ())
     return report
 
 
@@ -579,19 +587,12 @@ def _run_jobs(fn: Callable[..., tuple[dict, dict]], jobs
     return rows, failures, tables
 
 
-def _finish_report(out_dir: Path, tables: dict, report: dict) -> dict:
-    """Write ``report.json``, the tables and the manifest; return it."""
-    _write_run(out_dir, {"experiment": report["experiment"]},
-               {"report.json": report}, tables, {}, ())
-    return report
-
-
 def _tag(name: str, value: float) -> str:
     """File-name label such as ``gamma_m0p0125`` for gamma = -0.0125."""
     return f"{name}_{value:g}".replace("-", "m").replace(".", "p")
 
 
-def run_fig3a(out_dir: str | Path, full: bool = False) -> dict:
+def run_fig3a(full: bool = False) -> tuple[dict, dict]:
     """Cross-model occupation profiles: microscopic vs lattice vs continuum.
 
     Chain sizes share one reference solution through the scaling family
@@ -603,7 +604,6 @@ def run_fig3a(out_dir: str | Path, full: bool = False) -> dict:
     run records only its start and its end; the continuum reference takes
     Fehlberg 7(8) steps at the ``pcdnse_tight`` preset.
     """
-    out_dir = _make_out_dir(out_dir)
     sizes = (100, 200, 400, 800) if full else (100, 200, 400)
 
     field_ref = make_soliton_field(_REFERENCE_SOLITON, 400.0, 4000, PERIODIC)
@@ -645,12 +645,11 @@ def run_fig3a(out_dir: str | Path, full: bool = False) -> dict:
     checks["continuum_error_improves_with_length"] = bool(
         len(errs) >= 2 and errs[-1] < errs[0])
     checks["largest_size_tracks_continuum"] = bool(errs and errs[-1] < 0.5)
-    return _finish_report(out_dir, tables, {
-        "experiment": "fig3a", "rows": rows, "checks": checks,
-        "failures": failures})
+    return {"experiment": "fig3a", "rows": rows, "checks": checks,
+            "failures": failures}, tables
 
 
-def run_fig3b(out_dir: str | Path) -> dict:
+def run_fig3b() -> tuple[dict, dict]:
     """Reservoir-elimination breakdown at strong detuning.
 
     Same effective working point (g = -0.1 J, gamma = 0.05) realized at
@@ -665,8 +664,6 @@ def run_fig3b(out_dir: str | Path) -> dict:
     under 0.1 while the dynamics still disagrees at the 17% level, so the
     breakdown demonstration must sit at the calibration amplitude.
     """
-    out_dir = _make_out_dir(out_dir)
-
     rows, failures, tables = _run_jobs(_fig3_single_size,
                                        [(800, -0.1), (400, -2.0)])
 
@@ -681,9 +678,8 @@ def run_fig3b(out_dir: str | Path) -> dict:
                 row["linf_rel_langevin_vs_lattice"] > 0.05)
             checks["strong_detuning_flagged"] = bool(
                 not row["weak_coupling_ok"])
-    return _finish_report(out_dir, tables, {
-        "experiment": "fig3b", "rows": rows, "checks": checks,
-        "failures": failures})
+    return {"experiment": "fig3b", "rows": rows, "checks": checks,
+            "failures": failures}, tables
 
 
 def _fig4_single_gamma(gamma: float) -> tuple[dict, dict]:
@@ -717,7 +713,7 @@ def _fig4_single_gamma(gamma: float) -> tuple[dict, dict]:
     }, {}
 
 
-def run_fig4(out_dir: str | Path) -> dict:
+def run_fig4() -> tuple[dict, dict]:
     """Velocity damping rate versus dissipation strength.
 
     Red-detuned (gamma > 0) runs must reproduce the collective-coordinate
@@ -726,7 +722,6 @@ def run_fig4(out_dir: str | Path) -> dict:
     7(8) steps at the ``pcdnse_tight`` preset and records only the two
     states the rate compares, at Jt = 0 and 4.
     """
-    out_dir = _make_out_dir(out_dir)
     rows, failures, tables = _run_jobs(
         _fig4_single_gamma,
         [(gamma,) for gamma in (0.0125, 0.025, 0.05, 0.1, -0.0125)])
@@ -740,9 +735,8 @@ def run_fig4(out_dir: str | Path) -> dict:
         tag = _tag("gamma", r["gamma"])
         tol = 0.10 if r["gamma"] < 0 else 0.05
         checks[f"damping_matches_{tag}"] = bool(r["relative_error"] < tol)
-    return _finish_report(out_dir, tables, {
-        "experiment": "fig4", "rows": rows, "checks": checks,
-        "failures": failures})
+    return {"experiment": "fig4", "rows": rows, "checks": checks,
+            "failures": failures}, tables
 
 
 def _fig5_single_delta(delta: float, gamma: float, full: bool
@@ -823,7 +817,7 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool
     return row, tables
 
 
-def run_fig5(out_dir: str | Path, full: bool = False) -> dict:
+def run_fig5(full: bool = False) -> tuple[dict, dict]:
     """Shape stabilization of perturbed solitons (hybrid method).
 
     For each amplitude perturbation delta the field equation is integrated
@@ -833,7 +827,6 @@ def run_fig5(out_dir: str | Path, full: bool = False) -> dict:
     perturbation (delta = 0.3) must instead trip the fit-residual threshold,
     aborting the long run.
     """
-    out_dir = _make_out_dir(out_dir)
     gamma = 0.1
     deltas = (-0.1, 0.01, 0.3)
 
@@ -855,9 +848,8 @@ def run_fig5(out_dir: str | Path, full: bool = False) -> dict:
             checks["negative_perturbation_survives"] = bool(
                 row["breakup_time"] is None)
 
-    return _finish_report(out_dir, tables, {
-        "experiment": "fig5", "gamma": gamma, "rows": rows,
-        "checks": checks, "failures": failures})
+    return {"experiment": "fig5", "gamma": gamma, "rows": rows,
+            "checks": checks, "failures": failures}, tables
 
 
 def _fig6_single_gamma(gamma: float) -> tuple[dict, dict]:
@@ -910,7 +902,7 @@ def _fig6_single_gamma(gamma: float) -> tuple[dict, dict]:
         "ratio": ratio}}
 
 
-def run_fig6(out_dir: str | Path) -> dict:
+def run_fig6() -> tuple[dict, dict]:
     """Colliding soliton pair: dissipation enhancement during overlap.
 
     Compares the two-soliton field energy against twice the single-soliton
@@ -918,7 +910,6 @@ def run_fig6(out_dir: str | Path) -> dict:
     gamma = 0.01 the post-collision energy must sit below the separated
     prediction by more than the pre-collision noise band.
     """
-    out_dir = _make_out_dir(out_dir)
     gammas = (0.0, 0.01)
 
     rows, failures, tables = _run_jobs(_fig6_single_gamma,
@@ -935,13 +926,12 @@ def run_fig6(out_dir: str | Path) -> dict:
             checks["collision_enhances_dissipation"] = bool(
                 1.0 - row["final_ratio"] >= row["pre_collision_band"])
 
-    return _finish_report(out_dir, tables, {
-        "experiment": "fig6", "rows": rows, "checks": checks,
-        "failures": failures})
+    return {"experiment": "fig6", "rows": rows, "checks": checks,
+            "failures": failures}, tables
 
 
-EXPERIMENTS: dict[str, Callable[..., dict]] = {
-    "fig2": run_params_sweep,
+EXPERIMENTS: dict[str, Callable[..., tuple[dict, dict]]] = {
+    "fig2": params_sweep,
     "fig3a": run_fig3a,
     "fig3b": run_fig3b,
     "fig4": run_fig4,
@@ -951,7 +941,9 @@ EXPERIMENTS: dict[str, Callable[..., dict]] = {
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Dispatch a canned experiment by figure id."""
+    """Run a canned experiment by figure id, then write its report, tables
+    and manifest into ``config.out_dir``; return the report.  The config
+    is checked, and the directory created, before the experiment runs."""
     try:
         runner = EXPERIMENTS[config.figure]
     except KeyError:
@@ -963,5 +955,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if config.full and config.figure not in ("fig3a", "fig5"):
         raise ConfigError(f"{config.figure} has no full scale; only fig3a "
                           "and fig5 have one")
-    return runner(config.out_dir, full=True) if config.full \
-        else runner(config.out_dir)
+    out_dir = _make_out_dir(config.out_dir)
+    report, tables = runner(full=True) if config.full else runner()
+    # fig2's report, that of the default params sweep, names no experiment
+    name = report.get("experiment", "params_sweep")
+    _write_run(out_dir, {"experiment": name}, {"report.json": report},
+               tables, {}, ())
+    return report

@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from conftest import random_complex
 from pcdnse.analysis import fit_soliton

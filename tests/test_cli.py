@@ -276,6 +276,22 @@ def test_a_simulate_run_that_exits_3_leaves_its_directory_empty(tmp_path):
     assert out.is_dir() and list(out.iterdir()) == []
 
 
+def test_simulate_lists_and_prints_every_warning_a_run_raised(tmp_path,
+                                                              capsys):
+    # psi^4 overflows in the energy, so its drift is NaN, but the run ends
+    cfg = {"model": "pcdnse", "effective": {"g": -1e-160, "gamma": 0.0},
+           "grid": {"domain_length": 400.0, "n_points": 400},
+           "initial": {"soliton": {"psi": 1e78, "x0": 200.0, "w": 10.0}},
+           "run": {"t_final": 0.5, "snapshots": 3}}
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert any("overflow" in m for m in manifest["warnings"])
+    assert len(set(manifest["warnings"])) == len(manifest["warnings"])
+    assert "warning: overflow" in capsys.readouterr().out
+
+
 def stable_config(**overrides):
     cfg = {"model": "stable", "effective": {"g": -0.1, "gamma": 0.05},
            "initial": {"stable": {"n_particles": 2.0, "v": 0.5}},

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import inspect
 import json
 import math
 import threading
@@ -658,6 +659,23 @@ def test_experiment_registry_and_dispatch(tmp_path):
     report = run_experiment(ExperimentConfig(figure="fig2",
                                              out_dir=tmp_path / "fig2"))
     assert all(report["checks"].values())
+
+
+def test_a_canned_runner_computes_without_writing(tmp_path, monkeypatch):
+    # only the entry points write; a runner takes no output directory
+    for runner in EXPERIMENTS.values():
+        assert "out_dir" not in inspect.signature(runner).parameters
+
+    def no_write(*args):
+        raise AssertionError("a canned runner wrote")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(experiments, "_write_run", no_write)
+    report, tables = EXPERIMENTS["fig2"]()
+    assert all(report["checks"].values())
+    assert list(tables) == ["sweep"]
+    assert len(tables["sweep"]["delta"]) == report["sweep_points"] == 601
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("figure", ["fig2", "fig3b", "fig4", "fig6"])

@@ -142,10 +142,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             f"--residual-threshold must be finite and > 0, got {threshold!r}")
     field = read_snapshot(args.input, "--input")
     result = fit_soliton(field, residual_threshold=threshold)
+    # a residual that overflowed has no JSON form; such a fit has not
+    # converged
+    residual = result.residual if math.isfinite(result.residual) else None
     payload = {
         "psi": result.coords.psi, "x0": result.coords.x0,
         "v": result.coords.v, "w": result.coords.w, "d": result.coords.d,
-        "phi": result.coords.phi, "residual": result.residual,
+        "phi": result.coords.phi, "residual": residual,
         "converged": result.converged,
     }
     if args.out:

@@ -90,25 +90,15 @@ class SolitonCoords:
     def to_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in COORD_ORDER])
 
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "SolitonCoords":
-        if len(values) != 6:
-            raise ValueError("expected 6 coordinates")
-        return cls(**dict(zip(COORD_ORDER, map(float, values))))
 
-
-def collective_rhs(
-    coords: SolitonCoords | np.ndarray, eff: EffectiveParams
-) -> np.ndarray:
-    """Time derivatives of the six coordinates, in :data:`COORD_ORDER`.
+def collective_rhs(coords: np.ndarray, eff: EffectiveParams) -> np.ndarray:
+    """Time derivatives of the six coordinates, an array ``coords`` in
+    :data:`COORD_ORDER`, in the same order.
 
     Raises :class:`WidthCollapseError` if the width is at or below
     :data:`WIDTH_FLOOR`.
     """
-    if isinstance(coords, SolitonCoords):
-        psi, x0, v, w, d, phi = coords.to_array()
-    else:
-        psi, x0, v, w, d, phi = map(float, coords)
+    psi, x0, v, w, d, phi = map(float, coords)
     if w <= WIDTH_FLOOR:
         raise WidthCollapseError(
             f"soliton width {w!r} at or below collapse floor {WIDTH_FLOOR!r}")

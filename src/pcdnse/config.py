@@ -125,7 +125,7 @@ def _check(value, rule: Mapping, path: str):
     properties = rule.get("properties", {})
     unknown = set(value) - set(properties)
     _expect(rule.get("additionalProperties", True) or not unknown, path,
-            f"unknown keys {sorted(unknown)}")
+            f"unknown keys {sorted(unknown)}; known keys {list(properties)}")
     out = {}
     for key, sub in properties.items():
         sub_path = f"{path}.{key}" if path else key

@@ -44,11 +44,11 @@ from .collective import (
 )
 from .config import ConfigError, normalize_config
 from .integrate import (
+    SOLVER_PRESETS,
     OdeProblem,
     SolverConfig,
     TimeSeries,
     solve,
-    solver_preset,
 )
 from .model_continuum import (
     FieldState,
@@ -167,21 +167,29 @@ def run_simulation(config: Mapping, out_dir: str | Path) -> dict:
 
 def _diagnostics_and_flags(times, n_series, e_series, peak_series
                            ) -> tuple[dict, dict]:
-    """The drift flags of a run and its diagnostics table."""
+    """The drift flags of a run and its diagnostics table.
+
+    A drift that is not finite (the run's values overflowed, and a warning
+    says so) is ``None``, which JSON writes as ``null``; its flag is false.
+    """
     n0 = n_series[0]
     e0 = e_series[0]
     particle_drift = float(np.max(np.abs(np.asarray(n_series) / n0 - 1.0))) \
         if n0 != 0 else 0.0
     energy_drift = float(np.max(np.abs(np.asarray(e_series) - e0))) / max(abs(e0), 1e-300)
     diag = {
-        "particle_drift": particle_drift,
+        "particle_drift": _finite_or_none(particle_drift),
         "particle_conserved": bool(particle_drift < 1e-6),
-        "energy_drift": energy_drift,
+        "energy_drift": _finite_or_none(energy_drift),
     }
     return diag, {"diagnostics": {
         "t": times, "particle_number": np.asarray(n_series),
         "energy": np.asarray(e_series),
         "peak_amplitude": np.asarray(peak_series)}}
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def read_snapshot(path: str | Path, where: str) -> FieldState:
@@ -382,7 +390,8 @@ def _dispatch_run(cfg, eff, res, chain, start, times, problem, solver
             }
         elif eff.gamma == 0.0:
             # a langevin run's energy is the effective frame's only
-            diag["energy_conserved"] = bool(diag["energy_drift"] < 1e-6)
+            drift = diag["energy_drift"]
+            diag["energy_conserved"] = drift is not None and drift < 1e-6
         return ({"integrator": _solve_counts(series), "diagnostics": diag},
                 tables, snapshots)
 
@@ -537,12 +546,12 @@ def _fig3_single_size(sites: int, delta: float) -> tuple[dict, dict]:
 
     times = np.array([0.0, t_final])
     full_series = solve(_chain_problem(res, chain, field0.psi, times),
-                        solver_preset("langevin"))
+                        SOLVER_PRESETS["langevin"])
     site_series = rotating_frame_to_effective(full_series, res, chain)
 
     lattice_series = solve(
         OdeProblem(make_chain_ode(eff, PERIODIC), times, field0.psi),
-        solver_preset("pcdnse"))
+        SOLVER_PRESETS["pcdnse"])
 
     occ_langevin = np.abs(site_series.states[-1]) ** 2
     occ_lattice = np.abs(lattice_series.states[-1]) ** 2
@@ -610,7 +619,7 @@ def run_fig3a(full: bool = False) -> tuple[dict, dict]:
     eff_ref = EffectiveParams(g=-0.1, gamma=0.05, hopping=1.0)
     ref_series = solve(
         _field_problem(field_ref, eff_ref, np.array([0.0, 50.0])),
-        solver_preset("pcdnse_tight"))
+        SOLVER_PRESETS["pcdnse_tight"])
     occ_ref = np.abs(ref_series.states[-1]) ** 2
 
     def single_size(sites: int) -> tuple[dict, dict]:
@@ -695,7 +704,7 @@ def _fig4_single_gamma(gamma: float) -> tuple[dict, dict]:
 
     # the rate compares the first and the last state, so only those are
     # recorded: Fehlberg steps clip at every recorded time
-    solver = solver_preset("pcdnse_tight")
+    solver = SOLVER_PRESETS["pcdnse_tight"]
     series = solve(_field_problem(field0, eff, np.array([0.0, 4.0])), solver)
     estimate = velocity_damping_estimate(
         field0.with_psi(series.states[0]), field0.with_psi(series.states[-1]),
@@ -761,7 +770,7 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool
     step, fit_stride = 2.5, 25.0
     times = np.arange(0.0, 500.0 + 1e-9, step)
     series = solve(_field_problem(field0, eff, times),
-                   solver_preset("pcdnse"))
+                   SOLVER_PRESETS["pcdnse"])
     peak_series = np.max(np.abs(series.states), axis=1)
 
     # Shape-integrity threshold: benign radiation shed while relaxing keeps
@@ -805,7 +814,7 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool
     ctimes = np.arange(0.0, t_long + 1e-9, stride)
     cseries = solve(OdeProblem(make_collective_ode(eff), ctimes,
                                coords.to_array()),
-                    solver_preset("collective"))
+                    SOLVER_PRESETS["collective"])
     psi_t = cseries.states.real[:, 0]
     env = envelope_deviation(cseries.times, psi_t, ss.amplitude, window)
     tables[f"collective_psi_{tag}"] = {"t": cseries.times, "psi": psi_t}
@@ -877,7 +886,7 @@ def _fig6_single_gamma(gamma: float) -> tuple[dict, dict]:
 
     times = np.linspace(0.0, 25.0, 101)
     series = solve(_field_problem(field0, eff, times),
-                   solver_preset("two_soliton"))
+                   SOLVER_PRESETS["two_soliton"])
     e_two = np.array([field_energy(field0.with_psi(s), eff)
                       for s in series.states])
 

@@ -304,9 +304,14 @@ def _jsonable(obj):
 
 
 def write_json(path: str | Path, payload) -> Path:
-    """Write JSON deterministically (sorted keys, fixed separators)."""
+    """Write JSON deterministically (sorted keys, fixed separators).
+
+    A float that is not finite has no JSON form: it raises ``ValueError``
+    and nothing is written.
+    """
     path = Path(path)
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable,
+                      allow_nan=False)
     path.write_text(text + "\n")
     return path
 

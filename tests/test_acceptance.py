@@ -20,7 +20,7 @@ from pcdnse.collective import (
     stable_soliton,
 )
 from pcdnse.experiments import ExperimentConfig, run_experiment
-from pcdnse.integrate import OdeProblem, SolverConfig, solve, solver_preset
+from pcdnse.integrate import SOLVER_PRESETS, OdeProblem, SolverConfig, solve
 from pcdnse.model_continuum import (
     dispersion_part,
     field_energy,
@@ -55,7 +55,7 @@ def reference_field_run():
     series = solve(
         OdeProblem(make_pcdnse_ode(field0, EFF), times, field0.psi,
                    linear=dispersion_part(field0, EFF)),
-        solver_preset("pcdnse_tight"))
+        SOLVER_PRESETS["pcdnse_tight"])
     fields = [field0.with_psi(s) for s in series.states]
     return series.times, fields
 
@@ -105,7 +105,7 @@ def test_criterion_02_lattice_occupation_conservation():
     times = np.linspace(0.0, 50.0, 11)
     series = solve(
         OdeProblem(make_chain_ode(EFF, PERIODIC), times, field0.psi),
-        solver_preset("pcdnse"))
+        SOLVER_PRESETS["pcdnse"])
     occ = np.array([float(np.sum(np.abs(s) ** 2)) for s in series.states])
     drift = float(np.max(np.abs(occ / occ[0] - 1.0)))
     print(f"criterion 2: max |sum|b|^2 drift| = {drift:.3e}  (bound 1e-6)")

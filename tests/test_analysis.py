@@ -17,7 +17,7 @@ from pcdnse.analysis import (
     velocity_damping_estimate,
 )
 from pcdnse.collective import SolitonCoords
-from pcdnse.integrate import OdeProblem, solve, solver_preset
+from pcdnse.integrate import SOLVER_PRESETS, OdeProblem, solve
 from pcdnse.model_continuum import (
     FieldState,
     _soliton_terms,
@@ -103,7 +103,7 @@ def _dressed_soliton() -> FieldState:
         40.0, 400)
     eff = EffectiveParams(g=-2.0, gamma=0.1)
     series = solve(OdeProblem(make_pcdnse_ode(field0, eff), [0.0, 2.0],
-                              field0.psi), solver_preset("pcdnse"))
+                              field0.psi), SOLVER_PRESETS["pcdnse"])
     return field0.with_psi(series.states[-1])
 
 
@@ -152,7 +152,7 @@ def _breathing_soliton() -> FieldState:
                       phi=0.0), 60.0, 601, OPEN)
     eff = EffectiveParams(g=-1.0, gamma=0.0)
     series = solve(OdeProblem(make_pcdnse_ode(field0, eff), [0.0, 4.0],
-                              field0.psi), solver_preset("pcdnse"))
+                              field0.psi), SOLVER_PRESETS["pcdnse"])
     return field0.with_psi(series.states[-1])
 
 

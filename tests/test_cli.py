@@ -276,9 +276,14 @@ def test_a_simulate_run_that_exits_3_leaves_its_directory_empty(tmp_path):
     assert out.is_dir() and list(out.iterdir()) == []
 
 
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
 def test_simulate_lists_and_prints_every_warning_a_run_raised(tmp_path,
                                                               capsys):
-    # psi^4 overflows in the energy, so its drift is NaN, but the run ends
+    # psi^4 overflows in the energy, so its drift is not finite, but the run
+    # ends; the manifest stays JSON, with the drift as null
     cfg = {"model": "pcdnse", "effective": {"g": -1e-160, "gamma": 0.0},
            "grid": {"domain_length": 400.0, "n_points": 400},
            "initial": {"soliton": {"psi": 1e78, "x0": 200.0, "w": 10.0}},
@@ -286,10 +291,39 @@ def test_simulate_lists_and_prints_every_warning_a_run_raised(tmp_path,
     out = tmp_path / "run"
     assert main(["simulate", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=_reject_constant)
+    assert manifest["diagnostics"]["energy_drift"] is None
+    assert manifest["diagnostics"]["energy_conserved"] is False
     assert any("overflow" in m for m in manifest["warnings"])
     assert len(set(manifest["warnings"])) == len(manifest["warnings"])
-    assert "warning: overflow" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "energy_drift: None" in printed
+    assert "warning: overflow" in printed
+
+
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param({"run": {"t_final": 0.5,
+                          "solver": {"method": "rk45_tsitouras"}}},
+                 "config[run.solver.method]: must be one of "
+                 "['tsit5', 'rkf78'], got 'rk45_tsitouras'", id="tsit5_alias"),
+    pytest.param({"run": {"t_final": 0.5,
+                          "solver": {"method": "rk_high_order"}}},
+                 "config[run.solver.method]: must be one of "
+                 "['tsit5', 'rkf78'], got 'rk_high_order'", id="rkf78_alias"),
+    pytest.param({"effective": {"g": -2.0, "gamma": 0.05, "delta_g": 0.0}},
+                 "config[effective]: unknown keys ['delta_g']; "
+                 "known keys ['g', 'gamma', 'hopping']", id="delta_g"),
+])
+def test_a_removed_setting_exits_2_naming_the_key_and_its_choices(
+        tmp_path, capsys, overrides, message):
+    # one name per method, and no key that no model reads
+    out = tmp_path / "x"
+    assert main(["simulate", "--config",
+                 write_config(tmp_path, small_config(**overrides)),
+                 "--out", str(out)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def stable_config(**overrides):
@@ -378,8 +412,7 @@ _SOLVER = {"rtol": 1e-6, "atol": 1e-8, "max_steps": 500}
 #: below may redraw; the sizes and max_steps are ints and stay.
 _SMALL_RUNS = {
     "pcdnse": {"model": "pcdnse",
-               "effective": {"g": -2.0, "gamma": 0.05, "delta_g": 0.0,
-                             "hopping": 1.0},
+               "effective": {"g": -2.0, "gamma": 0.05, "hopping": 1.0},
                "grid": {"domain_length": 40.0, "n_points": 64},
                "initial": {"soliton": _SOLITON},
                "run": {"t_final": 0.5, "snapshots": 3, "solver": _SOLVER}},
@@ -470,6 +503,23 @@ def test_fit_command_stdout_and_file(tmp_path, capsys):
     assert json.loads(out.read_text())["converged"]
 
     assert main(["fit", "--input", str(tmp_path / "none.csv")]) == 2
+
+
+def test_fit_with_a_residual_that_overflows_writes_null(tmp_path, capsys):
+    # |psi|^2 = 1e300 fits, but the squared residual overflows
+    coords = SolitonCoords(psi=1e150, x0=20.0, v=0.1, w=1.0, d=0.0, phi=0.0)
+    snap = write_field_csv(tmp_path / "snap.csv",
+                           make_soliton_field(coords, 40.0, 400))
+    out = tmp_path / "fit.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # polyfit is poorly conditioned
+        assert main(["fit", "--input", str(snap)]) == 0
+        assert main(["fit", "--input", str(snap), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.split("fit written to")[0]
+    for text in (printed, out.read_text()):
+        payload = json.loads(text, parse_constant=_reject_constant)
+        assert payload["residual"] is None
+        assert payload["converged"] is False
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])

@@ -56,7 +56,7 @@ def test_damping_rate_scales_as_fourth_power_of_n():
 
 def test_stable_coords_are_a_fixed_point_up_to_phase():
     ss = stable_soliton(2.0, EFF)
-    deriv = collective_rhs(ss.coords(), EFF)
+    deriv = collective_rhs(ss.coords().to_array(), EFF)
     rates = dict(zip(COORD_ORDER, deriv))
     for name in ("psi", "x0", "v", "w", "d"):
         assert abs(rates[name]) < 1e-15, name
@@ -80,7 +80,7 @@ def test_particle_number_is_pointwise_invariant(psi, w, v, d, g, gamma):
     # whatever the parameters
     eff = EffectiveParams(g=g, gamma=gamma, hopping=1.0)
     coords = SolitonCoords(psi=psi, x0=0.3, v=v, w=w, d=d, phi=-0.2)
-    dpsi, _, _, dw, _, _ = collective_rhs(coords, eff)
+    dpsi, _, _, dw, _, _ = collective_rhs(coords.to_array(), eff)
     rate = 2.0 * (2.0 * psi * dpsi * w + psi**2 * dw)
     scale = max(1.0, abs(4.0 * psi**2 * d * w))
     assert abs(rate) <= 1e-13 * scale
@@ -96,7 +96,7 @@ def test_particle_number_conserved_along_flow():
         SolverConfig(rtol=1e-11, atol=1e-13),
     )
     for state in series.states:
-        n = SolitonCoords.from_array(state).particle_number
+        n = SolitonCoords(*state).particle_number
         assert abs(n / n0 - 1.0) < 1e-10
 
 
@@ -110,8 +110,7 @@ def test_collective_flow_reduces_to_stable_rhs_on_the_manifold():
     )
     x_ref, v_ref, phi_ref = stable_closed_form(
         series.times, 1.0, v0, 0.3, ss)
-    got = np.array([SolitonCoords.from_array(s).to_array()
-                    for s in series.states])
+    got = np.array([SolitonCoords(*s).to_array() for s in series.states])
     assert_allclose(got[:, 1], x_ref, rtol=1e-8)
     assert_allclose(got[:, 2], v_ref, rtol=1e-8)
     assert_allclose(got[:, 5], phi_ref, rtol=1e-8)
@@ -209,12 +208,10 @@ def test_phase_velocity_identity_on_random_states():
 
 
 def test_width_collapse_raises():
+    # a width the coordinates admit, below the floor
     bad = SolitonCoords(psi=1.0, x0=0.0, v=0.0, w=1e-7, d=0.0, phi=0.0)
     with pytest.raises(WidthCollapseError):
-        collective_rhs(bad, EFF)
-    # raw-array form takes the same guard
-    with pytest.raises(WidthCollapseError):
-        collective_rhs(np.array([1.0, 0.0, 0.0, 1e-9, 0.0, 0.0]), EFF)
+        collective_rhs(bad.to_array(), EFF)
     # the floor itself is refused, a width just above it admitted
     with pytest.raises(WidthCollapseError):
         collective_rhs(np.array([1.0, 0.0, 0.0, WIDTH_FLOOR, 0.0, 0.0]), EFF)
@@ -235,21 +232,12 @@ def test_stable_soliton_rejects_bad_inputs():
 
 def test_coords_roundtrip_and_validation():
     coords = SolitonCoords(psi=0.8, x0=-3.0, v=0.2, w=5.0, d=0.01, phi=1.1)
-    again = SolitonCoords.from_array(coords.to_array())
+    again = SolitonCoords(*coords.to_array())
     assert again == coords
     assert_allclose(coords.particle_number, 2.0 * 0.64 * 5.0, rtol=1e-15)
-    with pytest.raises(ValueError):
-        SolitonCoords.from_array(np.zeros(5))
     with pytest.raises(ValueError):
         SolitonCoords(psi=-0.1, x0=0.0, v=0.0, w=1.0, d=0.0, phi=0.0)
     with pytest.raises(ValueError):
         SolitonCoords(psi=0.1, x0=0.0, v=0.0, w=0.0, d=0.0, phi=0.0)
     with pytest.raises(ValueError):
         SolitonCoords(psi=0.1, x0=math.nan, v=0.0, w=1.0, d=0.0, phi=0.0)
-
-
-def test_rhs_accepts_coords_and_array_alike():
-    coords = SolitonCoords(psi=0.8, x0=-3.0, v=0.2, w=5.0, d=0.01, phi=1.1)
-    a = collective_rhs(coords, EFF)
-    b = collective_rhs(coords.to_array(), EFF)
-    assert np.array_equal(a, b)

@@ -37,7 +37,7 @@ def test_solver_choices_match_the_integrator():
     assert set(solver["properties"]["preset"]["enum"]) == set(
         integrate.SOLVER_PRESETS)
     assert set(solver["properties"]["method"]["enum"]) == set(
-        integrate._METHOD_ALIASES)
+        integrate._TABLEAUS)
     # the stable model is written from its closed form and has no solver
     assert set(config._DEFAULT_SOLVER_PRESET) == set(config.MODELS) - {
         "stable"}

@@ -4,6 +4,7 @@ dispersion in Fourier space) serve as oracles throughout.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,6 @@ from pcdnse.integrate import (
     StepUnderflowError,
     solve,
     solve_fixed_grid,
-    solver_preset,
     _TABLEAUS,
 )
 from pcdnse.model_continuum import (
@@ -258,25 +258,21 @@ def test_solve_rejects_a_non_finite_initial_state(value):
               SolverConfig(max_steps=1000))
 
 
-def test_method_aliases_resolve():
-    a = solve(OdeProblem(decay, [0.0, 1.0], np.array([1.0])),
-              SolverConfig(method="rk45_tsitouras"))
-    b = solve(OdeProblem(decay, [0.0, 1.0], np.array([1.0])),
-              SolverConfig(method="tsit5"))
-    assert np.array_equal(a.states, b.states)
+def test_a_method_has_one_name():
+    # each pair is named by its key in the tableau table and nothing else
+    assert sorted(_TABLEAUS) == ["rkf78", "tsit5"]
+    for other_name in ("rk45_tsitouras", "rk_high_order"):
+        with pytest.raises(ValueError,
+                           match=re.escape("['rkf78', 'tsit5']")):
+            SolverConfig(method=other_name)
 
 
 def test_preset_table_frozen():
     assert set(SOLVER_PRESETS) == {"pcdnse", "pcdnse_tight", "langevin",
                                    "collective", "two_soliton"}
-    tight = solver_preset("pcdnse_tight")
+    tight = SOLVER_PRESETS["pcdnse_tight"]
     assert (tight.method, tight.rtol, tight.atol) == ("rkf78", 1e-13, 1e-12)
-    assert solver_preset("langevin").method == "rkf78"
-    with pytest.raises(TypeError):
-        solver_preset("pcdnse", rtol=1e-4)          # a name, nothing else
-    with pytest.raises(KeyError) as excinfo:
-        solver_preset("dormand")
-    assert "pcdnse" in str(excinfo.value)           # lists valid names
+    assert SOLVER_PRESETS["langevin"].method == "rkf78"
 
 
 def test_time_series_validates_ordering():
@@ -377,7 +373,7 @@ def test_tight_preset_steps_an_anti_damped_soliton_in_fewer_evaluations():
     problem = OdeProblem(make_pcdnse_ode(field, eff),
                          np.linspace(0.0, 4.0, 9), field.psi,
                          linear=dispersion_part(field, eff))
-    tight = solver_preset("pcdnse_tight")
+    tight = SOLVER_PRESETS["pcdnse_tight"]
     fehlberg = solve(problem, tight)
     tsitouras = solve(problem, replace(tight, method="tsit5"))
     n0 = particle_number(field)
@@ -399,8 +395,8 @@ def test_tight_preset_steps_a_damped_soliton_closer_in_fewer_evaluations():
                              w=math.sqrt(20.0))
     problem = OdeProblem(make_pcdnse_ode(field, eff), [0.0, 4.0], field.psi,
                          linear=dispersion_part(field, eff))
-    tight = solve(problem, solver_preset("pcdnse_tight"))
-    default = solve(problem, solver_preset("pcdnse"))
+    tight = solve(problem, SOLVER_PRESETS["pcdnse_tight"])
+    default = solve(problem, SOLVER_PRESETS["pcdnse"])
     reference = solve(problem, SolverConfig(method="rkf78", rtol=1e-15,
                                             atol=1e-15))
     n0 = particle_number(field)
@@ -458,9 +454,9 @@ def fig5_collective_problem(delta, times=FIG5_TIMES):
 def test_plain_tsit5_steps_do_not_depend_on_the_snapshots():
     # Measured: 133 accepted steps and 800 RHS calls either way; clipped at
     # every snapshot the run took 4003 steps and 24 020 calls.
-    dense = solve(fig5_collective_problem(0.01), solver_preset("collective"))
+    dense = solve(fig5_collective_problem(0.01), SOLVER_PRESETS["collective"])
     ends = solve(fig5_collective_problem(0.01, [0.0, 2e4]),
-                 solver_preset("collective"))
+                 SOLVER_PRESETS["collective"])
     assert np.array_equal(dense.times, FIG5_TIMES)
     assert dense.stats == ends.stats
     assert dense.stats.n_accepted < 200
@@ -471,7 +467,7 @@ def test_plain_tsit5_steps_do_not_depend_on_the_snapshots():
 def test_interpolated_collective_run_matches_a_tight_reference(delta):
     # Measured: 1.3e-10 at delta = -0.1 and 4.1e-11 at delta = 0.01.
     problem = fig5_collective_problem(delta)
-    config = solver_preset("collective")
+    config = SOLVER_PRESETS["collective"]
     series = solve(problem, config)
     assert series.stats.n_accepted < 250       # 4001 snapshots interpolated
     reference = solve(problem, replace(config, rtol=1e-13, atol=1e-13))

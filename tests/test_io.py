@@ -230,6 +230,10 @@ def test_write_json_handles_numpy_and_paths(tmp_path):
     assert payload["where"].endswith("x")
     with pytest.raises(TypeError, match="serializable"):
         write_json(tmp_path / "bad.json", {"f": object()})
+    # NaN has no JSON form: refused before anything is written
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "nan.json", {"drift": float("nan")})
+    assert not (tmp_path / "nan.json").exists()
 
 
 def test_write_json_is_deterministic(tmp_path):

@@ -6,12 +6,12 @@ from numpy.testing import assert_allclose
 
 from conftest import random_complex
 from pcdnse.integrate import (
+    SOLVER_PRESETS,
     OdeProblem,
     SolveStats,
     SolverConfig,
     TimeSeries,
     solve,
-    solver_preset,
 )
 from pcdnse.model_full import (
     hopping_part,
@@ -192,8 +192,8 @@ def test_lawson_langevin_solve_matches_a_tight_plain_solve():
     rhs = make_full_ode(RES, chain)
     lawson = solve(OdeProblem(rhs, times, y0,
                               linear=hopping_part(RES, chain)),
-                   solver_preset("langevin"))
-    plain = solve(OdeProblem(rhs, times, y0), solver_preset("langevin"))
+                   SOLVER_PRESETS["langevin"])
+    plain = solve(OdeProblem(rhs, times, y0), SOLVER_PRESETS["langevin"])
     tight = solve(OdeProblem(rhs, times, y0),
                   SolverConfig(method="rkf78", rtol=1e-13, atol=1e-13))
     scale = np.max(np.abs(tight.states))

@@ -84,8 +84,7 @@ class DampingEstimate:
     The endpoint fits are kept as shape-integrity gates.
     """
 
-    vdot: float
-    relative_rate: float     # vdot / (mean velocity * J)
+    relative_rate: float     # velocity slope / (mean velocity * J)
     t_start: float
     t_end: float
     v_start: float
@@ -107,14 +106,13 @@ class EnvelopeSeries:
 class ProfileComparison:
     """Pointwise distance between two occupation profiles.
 
-    ``l2`` is an RMS over the comparison grid; the ``_rel`` variants are
+    ``l2`` is an RMS over the comparison grid; ``linf_rel`` is ``linf``
     normalized by the larger of the two profile peaks.
     """
 
     linf: float
     l2: float
     linf_rel: float
-    l2_rel: float
     peak: float
 
 
@@ -296,9 +294,9 @@ def velocity_damping_estimate(
 ) -> DampingEstimate:
     """Velocity slope between the snapshots ``start`` and ``end``.
 
-    Returns the finite-difference slope between the snapshot at
-    ``t_start`` and the later one at ``t_end``, and the relative rate
-    vdot/(v_mean J).
+    Returns the relative rate vdot/(v_mean J) of the finite-difference
+    slope vdot between the snapshot at ``t_start`` and the later one at
+    ``t_end``, with the velocities at both.
 
     The velocity observable is momentum per particle.  A fitted phase
     slope lags the momentum by an order-one transient while the soliton
@@ -328,7 +326,6 @@ def velocity_damping_estimate(
     if v_mean == 0:
         raise ValueError("mean velocity vanishes; relative rate undefined")
     return DampingEstimate(
-        vdot=vdot,
         relative_rate=vdot / (v_mean * hopping),
         t_start=t_start,
         t_end=t_end,
@@ -416,4 +413,4 @@ def compare_profiles(
     linf = float(np.max(np.abs(diff)))
     l2 = float(np.sqrt(np.mean(diff**2)))
     return ProfileComparison(linf=linf, l2=l2, linf_rel=linf / peak,
-                             l2_rel=l2 / peak, peak=peak)
+                             peak=peak)

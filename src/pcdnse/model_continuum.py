@@ -26,7 +26,13 @@ import numpy as np
 
 from .collective import SolitonCoords
 from .integrate import LinearPart
-from .model_effective import _bond_energy, _make_flow, lattice_laplacian
+from .model_effective import (
+    _bond_energy,
+    _ghosted,
+    _make_flow,
+    _phase_rate,
+    lattice_laplacian,
+)
 from .params import OPEN, PERIODIC, EffectiveParams
 
 __all__ = [
@@ -158,28 +164,21 @@ def particle_number(field: FieldState) -> float:
     return float(np.sum(np.abs(field.psi) ** 2) * field.dx)
 
 
-def _gradient(psi: np.ndarray, dx: float) -> np.ndarray:
-    """Central differences with the ghost zeros of an open grid."""
-    out = np.empty_like(psi)
-    out[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * dx)
-    out[0] = psi[1] / (2.0 * dx)
-    out[-1] = -psi[-2] / (2.0 * dx)
-    return out
-
-
 def field_momentum(field: FieldState) -> float:
     """Field momentum integral(Im(Psi* Psi_x) dx).
 
     Periodic grids differentiate spectrally: sech-like fields are band
     limited to machine precision there, so the momentum of an ansatz field
-    equals N*v essentially exactly.  Open grids use central differences.
+    equals N*v essentially exactly.  Open grids use central differences
+    with the ghost zeros of the flow's stencil.
     """
     psi = field.psi
     if field.boundary == PERIODIC:
         k = 2.0 * np.pi * np.fft.fftfreq(field.n_points, d=field.dx)
         grad = np.fft.ifft(1j * k * np.fft.fft(psi))
     else:
-        grad = _gradient(psi, field.dx)
+        g = _ghosted(psi, OPEN)
+        grad = (g[2:] - g[:-2]) / (2.0 * field.dx)
     return float(np.sum(np.imag(np.conj(psi) * grad)) * field.dx)
 
 
@@ -208,9 +207,9 @@ def field_energy_decay_rate(field: FieldState, eff: EffectiveParams) -> float:
     contributes the 2, as in the lattice counterpart).
     """
     lap = lattice_laplacian(field.psi, field.boundary) / field.dx**2
-    diss = np.imag(np.conj(field.psi) * lap)
+    rate = _phase_rate(field.psi, lap)
     return (-2.0 * eff.gamma * eff.hopping**2
-            * float(np.sum(diss**2) * field.dx))
+            * float(np.sum(rate**2) * field.dx))
 
 
 def make_pcdnse_ode(

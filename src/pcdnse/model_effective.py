@@ -18,9 +18,9 @@ oracle for it.  The dissipative term conserves the total occupation
 sum(|b_n|^2) exactly while draining the chain energy at the rate returned
 by :func:`energy_decay_rate`.
 
-Boundary conventions: ``periodic`` wraps the Laplacian and the bond energy;
-``open`` clamps ghost sites to zero (so edge sites see a hard wall), and the
-bond energy includes the two bonds to those ghosts.
+Boundary conventions: every stencil takes its ghost sites from one rule,
+:func:`_ghosted`.  ``periodic`` ghosts wrap; ``open`` ghosts are zero (so
+edge sites see a hard wall), and the bond energy includes the bonds to them.
 """
 
 from __future__ import annotations
@@ -45,19 +45,19 @@ __all__ = [
 HamiltonianGradient = Callable[[np.ndarray], np.ndarray]
 
 
-def _neighbour_sum(b: np.ndarray, boundary: str) -> np.ndarray:
-    """b_{n-1} + b_{n+1}, with ghost zeros beyond the ends if open."""
+def _ghosted(b: np.ndarray, boundary: str) -> np.ndarray:
+    """b with a ghost site beyond each end: wrapped if periodic, 0 if open."""
     if boundary == PERIODIC:
-        before_first, after_last = b[-1], b[0]
-    elif boundary == OPEN:
-        before_first = after_last = 0.0
-    else:
-        raise ValueError(f"unknown boundary {boundary!r}")
-    out = np.empty_like(b)
-    out[1:-1] = b[:-2] + b[2:]
-    out[0] = before_first + b[1]
-    out[-1] = b[-2] + after_last
-    return out
+        return np.concatenate([b[-1:], b, b[:1]])
+    if boundary == OPEN:
+        return np.concatenate([[0.0], b, [0.0]])
+    raise ValueError(f"unknown boundary {boundary!r}")
+
+
+def _neighbour_sum(b: np.ndarray, boundary: str) -> np.ndarray:
+    """b_{n-1} + b_{n+1}, the ghosts of :func:`_ghosted` beyond the ends."""
+    g = _ghosted(b, boundary)
+    return g[:-2] + g[2:]
 
 
 def lattice_laplacian(b: np.ndarray, boundary: str = PERIODIC) -> np.ndarray:
@@ -92,6 +92,11 @@ def general_effective_rhs(
     return -1j * (g_vec + eff.delta_g * np.abs(b) ** 2 * b + eff.gamma * diss * b)
 
 
+def _phase_rate(psi: np.ndarray, lap: np.ndarray) -> np.ndarray:
+    """Im(psi* lap), the rate of the gamma-term iJ gamma Im(psi* lap) psi."""
+    return np.imag(np.conj(psi) * lap)
+
+
 def _make_flow(
     eff: EffectiveParams, inv_dx2: float, boundary: str
 ) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -102,8 +107,8 @@ def _make_flow(
 
     def rhs(t: float, psi: np.ndarray) -> np.ndarray:
         lap = lattice_laplacian(psi, boundary) * inv_dx2
-        diss = np.imag(np.conj(psi) * lap)
-        return -1j * (np.abs(psi) ** 2 * psi * g - j * lap - jg * diss * psi)
+        rate = _phase_rate(psi, lap)
+        return -1j * (np.abs(psi) ** 2 * psi * g - j * lap - jg * rate * psi)
 
     return rhs
 
@@ -127,12 +132,9 @@ def _bond_energy(
     """dx (J sum |b_{n+1}-b_n|^2 / dx^2 + (g/2) sum |b_n|^4) over every bond
     the Laplacian couples: the wrap bond if periodic, the ghost bonds if open.
     """
-    if boundary == PERIODIC:
-        ext = np.concatenate([b[-1:], b])
-    elif boundary == OPEN:
-        ext = np.concatenate([[0.0], b, [0.0]])
-    else:
-        raise ValueError(f"unknown boundary {boundary!r}")
+    ext = _ghosted(b, boundary)
+    if boundary == PERIODIC:     # both ghosts end the one wrap bond
+        ext = ext[:-1]
     bonds = np.abs(np.diff(ext)) ** 2
     return float(dx * (eff.hopping * np.sum(bonds) / dx**2
                        + 0.5 * eff.g * np.sum(np.abs(b) ** 4)))

@@ -91,6 +91,33 @@ def test_dx_one_reduces_to_the_lattice(rng):
                               make_chain_ode(EFF, field.boundary)(0.0, b))
 
 
+def _written_out_rhs(psi, eff, inv_dx2, boundary):
+    """The flow written out: neighbours by np.roll on a periodic grid and
+    by explicit zero padding on an open one, in the kernel's operand order."""
+    if boundary == PERIODIC:
+        left, right = np.roll(psi, 1), np.roll(psi, -1)
+    else:
+        left, right = np.insert(psi[:-1], 0, 0.0), np.append(psi[1:], 0.0)
+    lap = (left + right - 2.0 * psi) * inv_dx2
+    rate = np.imag(np.conj(psi) * lap)
+    return -1j * (np.abs(psi) ** 2 * psi * eff.g - eff.hopping * lap
+                  - eff.hopping * eff.gamma * rate * psi)
+
+
+@pytest.mark.parametrize("dx", [0.1, 1.0])
+@pytest.mark.parametrize("boundary", [PERIODIC, OPEN])
+def test_flow_is_the_written_out_formula_bit_for_bit(rng, boundary, dx):
+    # a split of the flow into parts must keep every bit of its RHS
+    eff = EffectiveParams(g=-0.3, gamma=0.2, hopping=0.7)
+    field = random_field(rng, boundary, dx)
+    psi = field.psi
+    assert np.array_equal(
+        make_pcdnse_ode(field, eff)(0.0, psi),
+        _written_out_rhs(psi, eff, 1.0 / field.dx**2, boundary))
+    assert np.array_equal(make_chain_ode(eff, boundary)(0.0, psi),
+                          _written_out_rhs(psi, eff, 1.0, boundary))
+
+
 def test_ansatz_particle_number():
     field = make_soliton_field(soliton(psi=0.8, w=5.0), 200.0, 2000)
     assert_allclose(particle_number(field), 2.0 * 0.64 * 5.0, rtol=1e-10)
@@ -108,6 +135,19 @@ def test_momentum_open_boundary_contained_soliton():
     field = make_soliton_field(soliton(x0=120.0, v=0.25), 240.0, 2401, OPEN)
     # central differences, not spectral: O(dx^2) accuracy
     assert_allclose(mean_velocity(field), 0.25, rtol=1e-3)
+
+
+def test_open_momentum_is_the_ghost_zero_central_difference(rng):
+    # O(1) values up to the edges, so the two wall rows count
+    field = FieldState(random_complex(rng, 33), 8.0, OPEN)
+    psi, dx = field.psi, field.dx
+    ahead, behind = np.append(psi[1:], 0.0), np.insert(psi[:-1], 0, 0.0)
+    grad = (ahead - behind) / (2.0 * dx)
+    expected = float(np.sum(np.imag(np.conj(psi) * grad)) * dx)
+    assert field_momentum(field) == expected
+    wrapped = (np.roll(psi, -1) - np.roll(psi, 1)) / (2.0 * dx)
+    assert abs(float(np.sum(np.imag(np.conj(psi) * wrapped)) * dx)
+               - expected) > 0.1
 
 
 def test_standing_soliton_only_rotates_its_phase():

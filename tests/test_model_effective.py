@@ -147,6 +147,17 @@ def test_uniform_ring_is_stationary_apart_from_phase():
     assert_allclose(rhs, -1j * eff.g * 0.49 * b, rtol=0, atol=1e-16)
 
 
+def test_an_unknown_boundary_is_one_value_error_naming_it(rng):
+    eff = EffectiveParams(g=-0.1, gamma=0.05, hopping=1.0)
+    b = random_complex(rng, 8)
+    rhs = make_chain_ode(eff, "ring")
+    for call in (lambda: lattice_laplacian(b, "ring"),
+                 lambda: chain_energy(b, eff, "ring"),
+                 lambda: rhs(0.0, b)):
+        with pytest.raises(ValueError, match="'ring'"):
+            call()
+
+
 def test_rhs_shape_mismatch_rejected(rng):
     eff = EffectiveParams(g=-0.1)
     b = random_complex(rng, 8)

@@ -4,11 +4,13 @@ The central tool is a nonlinear least-squares fit of the six-parameter
 soliton ansatz to a complex field snapshot: a Levenberg-Marquardt iteration
 written in numpy, on the analytic Jacobian of the ansatz, over the window
 of points the soliton occupies.  On top of it sit the velocity
-damping estimator (finite-difference slope of the momentum velocity between
-two snapshots, gated by endpoint fits) and the windowed envelope-deviation
-series used to monitor shape relaxation in long runs.  A direct profile
-comparator quantifies agreement between occupation profiles from different
-models.
+damping estimator, which returns the relative rate of the momentum
+velocity's finite-difference slope between two snapshots (gated by
+endpoint fits), and the windowed envelope deviation, which returns the
+window centres and per-window maxima used to monitor shape relaxation in
+long runs.  A direct profile comparator returns the largest pointwise
+distance between occupation profiles from different models, relative to
+the larger peak.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ from .params import PERIODIC
 
 __all__ = [
     "FitResult",
-    "DampingEstimate",
-    "EnvelopeSeries",
-    "ProfileComparison",
     "NoPeakError",
     "fit_soliton",
     "velocity_damping_estimate",
@@ -72,48 +71,6 @@ class FitResult:
     coords: SolitonCoords
     residual: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class DampingEstimate:
-    """Velocity slope between two snapshots.
-
-    Velocities are momentum per particle (P/N), which coincides with the
-    ansatz phase slope v on the soliton manifold but, unlike a fitted v,
-    carries no transient while the soliton builds its dissipative dressing.
-    The endpoint fits are kept as shape-integrity gates.
-    """
-
-    relative_rate: float     # velocity slope / (mean velocity * J)
-    t_start: float
-    t_end: float
-    v_start: float
-    v_end: float
-    fit_start: FitResult
-    fit_end: FitResult
-
-
-@dataclass(frozen=True)
-class EnvelopeSeries:
-    """Per-window maxima of |value/reference - 1| over consecutive windows."""
-
-    window_length: float
-    times: np.ndarray        # window centers
-    max_deviation: np.ndarray
-
-
-@dataclass(frozen=True)
-class ProfileComparison:
-    """Pointwise distance between two occupation profiles.
-
-    ``l2`` is an RMS over the comparison grid; ``linf_rel`` is ``linf``
-    normalized by the larger of the two profile peaks.
-    """
-
-    linf: float
-    l2: float
-    linf_rel: float
-    peak: float
 
 
 def _model_jacobian(x: np.ndarray, theta: np.ndarray,
@@ -291,23 +248,25 @@ def velocity_damping_estimate(
     t_start: float,
     t_end: float,
     hopping: float = 1.0,
-) -> DampingEstimate:
-    """Velocity slope between the snapshots ``start`` and ``end``.
+) -> float:
+    """Relative velocity-damping rate between ``start`` and ``end``.
 
-    Returns the relative rate vdot/(v_mean J) of the finite-difference
-    slope vdot between the snapshot at ``t_start`` and the later one at
-    ``t_end``, with the velocities at both.
+    Returns vdot/(v_mean J): the finite-difference slope vdot of the
+    velocity between the snapshot at ``t_start`` and the later one at
+    ``t_end``, over the mean v_mean of the two velocities times the
+    hopping J.
 
-    The velocity observable is momentum per particle.  A fitted phase
-    slope lags the momentum by an order-one transient while the soliton
-    develops its dissipative dressing, which over short horizons would
-    understate the rate by ~20%; the momentum velocity is exact on the
-    ansatz manifold and settles at the damped rate immediately.  Soliton
-    fits still run at both endpoints, and a non-converged fit raises,
-    since the slope is meaningless once the pulse loses its shape.  The
-    gate, ``DAMPING_RESIDUAL_THRESHOLD``, is looser than the breakup
-    default: the dissipative dressing alone contributes an O(gamma)
-    residual (~1.5e-3 at gamma = 0.1) that must not count as shape loss.
+    The velocity observable is momentum per particle (P/N).  It coincides
+    with the ansatz phase slope v on the soliton manifold, but a fitted
+    phase slope lags the momentum by an order-one transient while the
+    soliton develops its dissipative dressing, which over short horizons
+    would understate the rate by ~20%; the momentum velocity settles at
+    the damped rate immediately.  Soliton fits still run at both
+    endpoints, as shape gates only: a non-converged fit raises, since the
+    slope is meaningless once the pulse loses its shape.  The gate,
+    ``DAMPING_RESIDUAL_THRESHOLD``, is looser than the breakup default:
+    the dissipative dressing alone contributes an O(gamma) residual
+    (~1.5e-3 at gamma = 0.1) that must not count as shape loss.
     """
     t_start, t_end = float(t_start), float(t_end)
     if not t_end > t_start:
@@ -325,15 +284,7 @@ def velocity_damping_estimate(
     v_mean = 0.5 * (v1 + v0)
     if v_mean == 0:
         raise ValueError("mean velocity vanishes; relative rate undefined")
-    return DampingEstimate(
-        relative_rate=vdot / (v_mean * hopping),
-        t_start=t_start,
-        t_end=t_end,
-        v_start=v0,
-        v_end=v1,
-        fit_start=fit0,
-        fit_end=fit1,
-    )
+    return vdot / (v_mean * hopping)
 
 
 def envelope_deviation(
@@ -341,11 +292,12 @@ def envelope_deviation(
     values: np.ndarray,
     reference: float,
     window_length: float,
-) -> EnvelopeSeries:
+) -> tuple[np.ndarray, np.ndarray]:
     """Windowed maxima of |values/reference - 1|.
 
     Partitions the time span into consecutive windows of ``window_length``
-    starting at times[0]; a trailing partial window is dropped.  Useful for
+    starting at times[0]; a trailing partial window is dropped.  Returns
+    the window centres and the maximum deviation in each window.  Useful for
     deciding whether a slowly damped oscillation is actually contracting:
     with the window at least one oscillation period long, the series is
     non-increasing exactly when the envelope is.
@@ -377,21 +329,20 @@ def envelope_deviation(
             raise ValueError(f"window [{left}, {right}) contains no samples")
         centers.append(left + window_length / 2.0)
         maxima.append(float(np.max(deviation[mask])))
-    return EnvelopeSeries(window_length=float(window_length),
-                          times=np.array(centers),
-                          max_deviation=np.array(maxima))
+    return np.array(centers), np.array(maxima)
 
 
 def compare_profiles(
     x_a: np.ndarray, occ_a: np.ndarray,
     x_b: np.ndarray, occ_b: np.ndarray,
-) -> ProfileComparison:
-    """Distance between two occupation profiles on a shared axis.
+) -> float:
+    """Relative distance between two occupation profiles on a shared axis.
 
-    The finer-sampled profile is linearly interpolated onto the coarser
-    grid, so models with different resolutions (lattice sites versus a fine
-    field grid) compare directly.  Both profiles must cover essentially the
-    same coordinate range.
+    Returns max|occ_a - occ_b| over the comparison grid, divided by the
+    larger of the two profile peaks.  The finer-sampled profile is
+    linearly interpolated onto the coarser grid, so models with different
+    resolutions (lattice sites versus a fine field grid) compare directly.
+    Both profiles must cover essentially the same coordinate range.
     """
     x_a = np.asarray(x_a, dtype=float)
     x_b = np.asarray(x_b, dtype=float)
@@ -410,7 +361,4 @@ def compare_profiles(
     peak = float(max(np.max(occ_a), np.max(occ_b)))
     if peak <= 0:
         raise ValueError("profiles are identically zero")
-    linf = float(np.max(np.abs(diff)))
-    l2 = float(np.sqrt(np.mean(diff**2)))
-    return ProfileComparison(linf=linf, l2=l2, linf_rel=linf / peak,
-                             peak=peak)
+    return float(np.max(np.abs(diff))) / peak

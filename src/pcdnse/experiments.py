@@ -556,7 +556,7 @@ def _fig3_single_size(sites: int, delta: float) -> tuple[dict, dict]:
     occ_langevin = np.abs(site_series.states[-1]) ** 2
     occ_lattice = np.abs(lattice_series.states[-1]) ** 2
     x_sites = np.arange(sites, dtype=float)
-    cmp_models = compare_profiles(x_sites, occ_langevin, x_sites, occ_lattice)
+    linf_rel = compare_profiles(x_sites, occ_langevin, x_sites, occ_lattice)
 
     return {
         "sites": sites,
@@ -569,7 +569,7 @@ def _fig3_single_size(sites: int, delta: float) -> tuple[dict, dict]:
         "r1": r1,
         "r2": r2,
         "weak_coupling_ok": bool(max(r1, r2) < WEAK_COUPLING_ADVISORY),
-        "linf_rel_langevin_vs_lattice": cmp_models.linf_rel,
+        "linf_rel_langevin_vs_lattice": linf_rel,
     }, {f"profiles_{_tag('delta', delta)}_L{sites}": {
         "site": x_sites, "occ_langevin": occ_langevin,
         "occ_lattice": occ_lattice}}
@@ -629,7 +629,7 @@ def run_fig3a(full: bool = False) -> tuple[dict, dict]:
         for model in ("lattice", "langevin"):
             row[f"linf_rel_{model}_vs_continuum"] = compare_profiles(
                 x_rescaled, profile[f"occ_{model}"] * row["scale"]**2,
-                field_ref.x, occ_ref).linf_rel
+                field_ref.x, occ_ref)
         return {k: row[k] for k in (
             "sites", "t_final", "chi", "b_max", "r1", "r2",
             "weak_coupling_ok", "linf_rel_langevin_vs_lattice",
@@ -706,10 +706,9 @@ def _fig4_single_gamma(gamma: float) -> tuple[dict, dict]:
     # recorded: Fehlberg steps clip at every recorded time
     solver = SOLVER_PRESETS["pcdnse_tight"]
     series = solve(_field_problem(field0, eff, np.array([0.0, 4.0])), solver)
-    estimate = velocity_damping_estimate(
+    measured = -velocity_damping_estimate(
         field0.with_psi(series.states[0]), field0.with_psi(series.states[-1]),
         series.times[0], series.times[-1], hopping=eff.hopping)
-    measured = -estimate.relative_rate
     return {
         "gamma": gamma,
         "g_gamma_psi4": g * gamma * coords.psi**4,
@@ -816,13 +815,12 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool
                                coords.to_array()),
                     SOLVER_PRESETS["collective"])
     psi_t = cseries.states.real[:, 0]
-    env = envelope_deviation(cseries.times, psi_t, ss.amplitude, window)
+    centers, maxima = envelope_deviation(cseries.times, psi_t, ss.amplitude,
+                                         window)
     tables[f"collective_psi_{tag}"] = {"t": cseries.times, "psi": psi_t}
-    tables[f"envelope_{tag}"] = {"t_center": env.times,
-                                 "max_deviation": env.max_deviation}
+    tables[f"envelope_{tag}"] = {"t_center": centers, "max_deviation": maxima}
     row["envelope_non_increasing"] = bool(
-        len(env.max_deviation) > 1
-        and np.all(np.diff(env.max_deviation) <= 1e-12))
+        len(maxima) > 1 and np.all(np.diff(maxima) <= 1e-12))
     return row, tables
 
 

@@ -1,9 +1,14 @@
 """The paired-benchmark summary of tools/bench_pairs.py: quartiles, win
 counts with ties, the rule that calls a difference a gain, and the check
-of the change's median against the metric's bound.
+of the change's median against the metric's bound; and the bytecode cache
+each side runs with.
 """
 
 import importlib.util
+import shutil
+import subprocess
+import sys
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -88,3 +93,41 @@ def test_within_bound_when_higher_is_better_allows_a_fall_by_the_bound():
     assert summarise(parent, [1.0, 1.5, 2.0], "higher", 0.25)["within_bound"]
     assert not summarise(parent, [1.0, 1.4, 2.0], "higher",
                          0.25)["within_bound"]
+
+
+def test_each_side_runs_with_its_own_bytecode_cache_outside_the_checkout(
+        tmp_path, monkeypatch):
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    shutil.copy(bench_pairs.ROOT / "BENCHMARK.json", checkout)
+    runs = []
+
+    def fake_run(cmd, cwd=None, env=None, **kwargs):
+        if cmd[0] == "git":
+            if "archive" in cmd:
+                out = cmd[cmd.index("--output") + 1]
+                tarfile.open(out, "w").close()
+            return subprocess.CompletedProcess(cmd, 0, stdout="0" * 40)
+        runs.append((Path(cwd), env))
+        return subprocess.CompletedProcess(cmd, 1, stdout="", stderr="")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", checkout)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--parent", "HEAD", "--label", "t", "--pairs", "2",
+        "--seed", "1", "--workload", "damping_sweep"])
+    assert bench_pairs.main() == 0
+
+    prefixes = {}
+    for cwd, env in runs:
+        assert env is not None and "PYTHONDONTWRITEBYTECODE" not in env
+        side = "change" if cwd == checkout else "parent"
+        prefixes.setdefault(side, set()).add(env["PYTHONPYCACHEPREFIX"])
+    assert len(runs) == 4
+    # one cache per side for the whole run, and a different one per side
+    assert all(len(p) == 1 for p in prefixes.values())
+    [parent], [change] = prefixes["parent"], prefixes["change"]
+    assert parent != change
+    for prefix in (parent, change):
+        assert not Path(prefix).is_relative_to(checkout)
+        assert not Path(prefix).is_relative_to(_PATH.parent.parent)

@@ -5,7 +5,10 @@
 
 The change is the checkout this file lives in, as it stands on disk; the
 parent is commit REV, exported with ``git archive`` into a temporary
-directory (``$TMPDIR``) that is deleted afterwards.  Pair i runs
+directory (``$TMPDIR``) that is deleted afterwards.  Each side runs with its
+own empty ``PYTHONPYCACHEPREFIX`` in that directory, with bytecode writing
+on: its first process compiles into it and later ones read from it, and a
+``__pycache__`` left in the checkout counts for neither side.  Pair i runs
 ``perfbench/run.py --workload W --seed S+i --seconds SEC --trace 0`` once
 on each side, parent first in even pairs and change first in odd ones, so
 a drift of the machine's speed favours neither side.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -76,13 +80,18 @@ def summarise(parent: list[float], change: list[float], better: str,
     }
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One benchmark run in ``root``: its exit code, environment line and
-    result line (both None when it printed no result)."""
+def run_side(root: Path, pycache: Path, workload: str, seed: int,
+             seconds: int) -> dict:
+    """One benchmark run in ``root`` with bytecode cached under ``pycache``:
+    its exit code, environment line and result line (both None when it
+    printed no result)."""
+    environ = {k: v for k, v in os.environ.items()
+               if k != "PYTHONDONTWRITEBYTECODE"}
+    environ["PYTHONPYCACHEPREFIX"] = str(pycache)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True)
+        cwd=root, env=environ, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     env = result = None
     if proc.returncode == 0 and len(lines) >= 2:
@@ -149,14 +158,16 @@ def main() -> int:
     change_rev = git("rev-parse", "HEAD")
     out = ROOT / f"BENCH_{args.label}.json"
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_root = Path(tmp)
-        archive = parent_root / "parent.tar"
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent_root = Path(tmp) / "parent"
+        parent_root.mkdir()
+        archive = Path(tmp) / "parent.tar"
         git("archive", "--output", str(archive), parent_rev)
         with tarfile.open(archive) as tar:
             tar.extractall(parent_root, filter="data")
         archive.unlink()
         roots = {"parent": parent_root, "change": ROOT}
+        pycaches = {side: Path(tmp) / f"pycache-{side}" for side in SIDES}
 
         runs: dict = {w: [] for w in workloads}
         for i in range(args.pairs):
@@ -165,8 +176,8 @@ def main() -> int:
             for workload in workloads:
                 pair = {"seed": seed}
                 for side in order:
-                    pair[side] = run_side(roots[side], workload, seed,
-                                          args.seconds)
+                    pair[side] = run_side(roots[side], pycaches[side],
+                                          workload, seed, args.seconds)
                     result = pair[side]["result"]
                     wall = result and result["metrics"]["wall_s"]["value"]
                     print(f"pair {i + 1}/{args.pairs} {workload} seed {seed} "

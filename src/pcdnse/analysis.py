@@ -127,7 +127,11 @@ def _initial_guess(x: np.ndarray, psi: np.ndarray, dx: float) -> np.ndarray:
     u = x[sl] - x0
     phase = np.unwrap(np.angle(psi[sl]))
     if len(u) >= 3:
-        c2, c1, c0 = np.polyfit(u, phase, 2, w=occ[sl])
+        # polyfit squares its weights, and a tiny peak's squares vanish;
+        # scaled exactly, by a power of two, to a peak in [0.5, 1), they
+        # give the coefficients unscaled weights give, bit for bit
+        weights = np.ldexp(occ[sl], -math.frexp(peak)[1])
+        c2, c1, c0 = np.polyfit(u, phase, 2, w=weights)
     else:
         c2, c1, c0 = 0.0, 0.0, float(np.angle(psi[j_peak]))
     return np.array([amp, x0, c1, w, c2, c0])
@@ -202,12 +206,15 @@ def fit_soliton(
     ------
     ValueError
         If the field holds a non-finite value.
+    FloatingPointError
+        If |Psi|^2 overflows.
     NoPeakError
         If the occupation has no localized peak (peak <= 10x median).
     """
     if not np.all(np.isfinite(field.psi)):
         raise ValueError("field holds a non-finite value")
-    occ = np.abs(field.psi) ** 2
+    with np.errstate(over="raise"):     # |psi|^2 beyond the largest double
+        occ = np.abs(field.psi) ** 2
     peak = float(np.max(occ))
     if peak <= 10.0 * float(np.median(occ)):
         raise NoPeakError(

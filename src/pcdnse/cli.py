@@ -4,8 +4,10 @@ Four subcommands: ``params`` (detuning sweep of the effective constants),
 ``simulate`` (one configured run from a JSON file), ``fit`` (sech-pulse fit
 of a stored snapshot), and ``experiment`` (canned multi-run datasets).
 
-Output directory precedence: ``--out`` flag, then the ``PCDNSE_OUTPUT_DIR``
-environment variable, then the config file's ``output.directory``, then
+``params`` takes its sweep from its flags, one per keyword argument of
+:func:`~pcdnse.experiments.params_sweep`.  Output directory precedence:
+``--out`` flag, then the ``PCDNSE_OUTPUT_DIR`` environment variable, then
+(for ``simulate``) the config file's ``output.directory``, then
 ``./out/<name>``.  Exit codes: 0 on success, 2 on configuration errors
 (a missing or malformed snapshot file among them, or one holding a NaN or
 infinite value, and an ``--out`` that cannot be written), 3 on numerical
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -26,16 +29,11 @@ from pathlib import Path
 from . import io
 from .analysis import FIT_RESIDUAL_THRESHOLD, NoPeakError, fit_soliton
 from .collective import WidthCollapseError
-from .config import (
-    SWEEP_RULE,
-    ConfigError,
-    check_solver_flags,
-    normalize_config,
-    normalize_sweep_config,
-)
+from .config import ConfigError, check_solver_flags, normalize_config
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    params_sweep,
     read_snapshot,
     run_experiment,
     run_params_sweep,
@@ -50,11 +48,10 @@ OUTPUT_DIR_ENV = "PCDNSE_OUTPUT_DIR"
 _NUMERICAL_ERRORS = (IntegrationError, WidthCollapseError, NoPeakError,
                      ArithmeticError)
 
-#: The params flags, by key and type: each sweep key but the ``directory``
-#: that ``--out`` sets.
-_SWEEP_FLAGS = {key: {"number": float, "integer": int}[rule["type"]]
-                for key, rule in SWEEP_RULE["properties"].items()
-                if key != "directory"}
+#: The params flags, by key and type: the keyword arguments of
+#: :func:`~pcdnse.experiments.params_sweep`, typed as their defaults.
+_SWEEP_FLAGS = {key: type(param.default) for key, param
+                in inspect.signature(params_sweep).parameters.items()}
 
 
 def _load_config(path: str) -> dict:
@@ -99,15 +96,10 @@ def _print_checks(report: dict) -> int:
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.config:
-        kwargs = normalize_sweep_config(_load_config(args.config))
-    out_dir = _resolve_out(args.out, kwargs.pop("directory", None),
-                           "out/params")
-    for key in _SWEEP_FLAGS:
-        if getattr(args, key) is not None:
-            kwargs[key] = getattr(args, key)
-    report = run_params_sweep(out_dir, **kwargs)
+    out_dir = _resolve_out(args.out, None, "out/params")
+    report = run_params_sweep(out_dir, **{
+        key: getattr(args, key) for key in _SWEEP_FLAGS
+        if getattr(args, key) is not None})
     print(f"parameter sweep written to {out_dir}")
     return _print_checks(report)
 
@@ -183,8 +175,6 @@ def _parser() -> argparse.ArgumentParser:
     p_params = sub.add_parser(
         "params", help="sweep detuning and tabulate effective g shift and "
                        "dissipation rate")
-    p_params.add_argument("--config", help="JSON file with a params_sweep "
-                                           "section")
     p_params.add_argument("--out", help="output directory")
     for key, kind in _SWEEP_FLAGS.items():
         p_params.add_argument("--" + key.replace("_", "-"), dest=key,

@@ -163,7 +163,8 @@ def stable_soliton(n_particles: float, eff: EffectiveParams) -> StableSoliton:
     """Construct the stable soliton carrying ``n_particles``.
 
     Raises :class:`RepulsiveInteractionError` for g >= 0, where no bright
-    soliton exists.
+    soliton exists, and ``ValueError`` when the width, amplitude or damping
+    rate is not finite (a subnormal g N makes the width overflow).
     """
     if not (n_particles > 0 and math.isfinite(n_particles)):
         raise ValueError("n_particles must be positive and finite")
@@ -175,6 +176,10 @@ def stable_soliton(n_particles: float, eff: EffectiveParams) -> StableSoliton:
     width = -4.0 * j / (g * n_particles)
     amplitude = math.sqrt(-g / (2.0 * j)) * n_particles / 2.0
     damping_rate = eff.gamma * (-(g / j) ** 3) * n_particles**4 / 240.0
+    for name, value in {"width": width, "amplitude": amplitude,
+                        "damping rate": damping_rate}.items():
+        if not math.isfinite(value):
+            raise ValueError(f"stable soliton {name} is {value!r}, not finite")
     return StableSoliton(
         particle_number=float(n_particles),
         width=width,

@@ -1,7 +1,8 @@
 """Run-config checking against the committed JSON schema.
 
 ``config_schema.json``, next to this module, states every per-key rule of a
-run config: type, bounds, choices and default.  :func:`normalize_config`
+run config, the one config file the package reads: type, bounds, choices
+and default.  :func:`normalize_config`
 checks a config against it, fills in every default, and then applies the
 rules that relate keys to each other, which the schema states only in its
 descriptions.  The one reader, :func:`_check`, handles only the keywords the
@@ -18,8 +19,7 @@ from typing import Mapping
 
 from .integrate import SOLVER_PRESETS
 
-__all__ = ["ConfigError", "MODELS", "SWEEP_RULE", "check_solver_flags",
-           "normalize_config", "normalize_sweep_config"]
+__all__ = ["ConfigError", "MODELS", "check_solver_flags", "normalize_config"]
 
 _SCHEMA = json.loads(Path(__file__).with_name("config_schema.json").read_text())
 MODELS = tuple(_SCHEMA["properties"]["model"]["enum"])
@@ -34,21 +34,6 @@ _DEFAULT_SOLVER_PRESET = {
     "langevin": "langevin",
     "collective": "collective",
 }
-
-#: The rule of a params_sweep section, whose keys are also the params flags.
-SWEEP_RULE = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        **dict.fromkeys(("chi", "eta", "kappa", "hopping", "delta_min",
-                         "delta_max"), {"type": "number"}),
-        "num": {"type": "integer"},
-        "directory": {"type": "string"},
-    },
-}
-# a params --config file holds the sweep section and nothing else
-_SWEEP_FILE_RULE = {"type": "object", "additionalProperties": False,
-                    "properties": {"params_sweep": SWEEP_RULE}}
 
 
 class ConfigError(ValueError):
@@ -198,16 +183,3 @@ def check_solver_flags(**flags) -> dict:
     rules = _SCHEMA["properties"]["run"]["properties"]["solver"]["properties"]
     return {key: _check(value, rules[key], f"--{key}")
             for key, value in flags.items() if value is not None}
-
-
-def normalize_sweep_config(config) -> dict:
-    """Validate a ``params --config`` file, whose one key is
-    ``params_sweep``, and return a copy of that section:
-    :func:`~pcdnse.experiments.run_params_sweep` keyword arguments and an
-    optional output ``directory``, as written except that ``num`` is an
-    ``int``.  Raises :class:`ConfigError` with the key path."""
-    _check(config, _SWEEP_FILE_RULE, "")
-    out = dict(config.get("params_sweep", {}))
-    if "num" in out:
-        out["num"] = int(out["num"])
-    return out

@@ -128,8 +128,7 @@ def _write_run(out_dir: Path, manifest_extra: Mapping, documents: Mapping,
               for stem, columns in tables.items()]
     writers = {"csv": io.write_field_csv, "json": io.write_field_json}
     snap_dir = _make_out_dir(out_dir / "snapshots") if snapshots else None
-    files += [writers[fmt](snap_dir / f"{stem}.{fmt}", field,
-                           {"t": io.format_float(t)})
+    files += [writers[fmt](snap_dir / f"{stem}.{fmt}", field, t)
               for stem, (field, t) in snapshots.items()
               for fmt in writers if fmt in formats]
     return io.write_manifest(out_dir, files, manifest_extra)

@@ -11,10 +11,12 @@ snapshot's JSON float lists hold the same ``%.17g`` strings as its CSV, so
 ``FLOAT_FORMAT`` is the one float renderer for table values.  A snapshot's
 psi is rendered once for both its files: the last rendering is kept, keyed
 on every byte of psi (``psi.tobytes()``), so whichever writer runs second
-reuses it and a psi changed in place in between is rendered anew.  The CSV
+reuses it and a psi changed in place in between is rendered anew.  A
+snapshot's metadata are its grid and, optionally, its time ``t``.  The CSV
 reader parses all data rows in one ``np.loadtxt`` call.  Both readers raise
 ``ValueError`` for a malformed file, for a psi value that is not finite and
 for an x value off the grid that the file's metadata define.
+:func:`write_json` writes plain JSON values only, and no NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -124,39 +126,18 @@ def _check_grid(x: np.ndarray, field: FieldState,
                          f"point {field.x[i]:.17g}")
 
 
-def _meta_item(line: str) -> tuple[str, str]:
-    """The key and value of a ``# key=value`` comment line, as
-    :func:`read_field_csv` reads them."""
-    key, _, value = line.strip().lstrip("# ").partition("=")
-    return key.strip(), value.strip()
-
-
 def write_field_csv(path: str | Path, field: FieldState,
-                    meta: Mapping[str, str] | None = None) -> Path:
-    """Write a field snapshot as CSV with grid metadata in header comments.
-
-    A ``meta`` key or value that holds a line break, or a key that reads
-    back as ``domain_length`` or ``boundary``, would make a file that
-    :func:`read_field_csv` rejects or reads on another grid; it raises
-    ``ValueError`` before the file is opened.
-    """
+                    t: float | None = None) -> Path:
+    """Write a field snapshot as CSV with grid metadata, and the snapshot
+    time ``t`` if given, in header comments."""
     path = Path(path)
-    comments = []
-    for key, value in (meta or {}).items():
-        line = f"# {key}={value}"
-        if "\n" in line or "\r" in line:
-            raise ValueError(f"meta {key!r}: {value!r} holds a line break")
-        name = _meta_item(line)[0]
-        if name in ("domain_length", "boundary"):
-            raise ValueError(f"meta {key!r} would be read as the grid's "
-                             f"{name}")
-        comments.append(line + "\n")
     x = _x_column(field.domain_length, field.n_points, field.boundary)
     re, im = _psi_text(field.psi.tobytes())
     with path.open("w", newline="\n") as fh:
         fh.write(f"# domain_length={format_float(field.domain_length)}\n")
         fh.write(f"# boundary={field.boundary}\n")
-        fh.writelines(comments)
+        if t is not None:
+            fh.write(f"# t={format_float(t)}\n")
         fh.write("x,re_psi,im_psi\n")
         fh.write(_csv_rows([x, tuple(re.split(",")),
                             tuple(im.split(","))]))
@@ -211,8 +192,8 @@ def read_field_csv(path: str | Path) -> FieldState:
             if not line:
                 continue
             if line.startswith("#"):
-                key, value = _meta_item(line)
-                meta[key] = value
+                key, _, value = line.lstrip("# ").partition("=")
+                meta[key.strip()] = value.strip()
             elif (not header_seen and not rows
                   and (line[0].isalpha() or line.startswith('"'))):
                 header_seen = True
@@ -234,14 +215,15 @@ def read_field_csv(path: str | Path) -> FieldState:
 
 
 def write_field_json(path: str | Path, field: FieldState,
-                     meta: Mapping[str, str] | None = None) -> Path:
+                     t: float | None = None) -> Path:
     """Write a field snapshot as one JSON object whose float lists hold the
-    strings :func:`write_field_csv` writes."""
+    strings :func:`write_field_csv` writes; its ``meta`` object holds the
+    snapshot time ``t`` as that string, if given."""
     path = Path(path)
     x = _x_column(field.domain_length, field.n_points, field.boundary)
+    meta = {} if t is None else {"t": format_float(t)}
     head = json.dumps({"domain_length": field.domain_length,
-                       "boundary": field.boundary, "meta": dict(meta or {})},
-                      default=_jsonable)
+                       "boundary": field.boundary, "meta": meta})
     re, im = _psi_text(field.psi.tobytes())
     path.write_text(f'{head[:-1]}, "x": [{",".join(x)}], '
                     f'"re_psi": {_json_list(field.psi.real, re)}, '
@@ -293,25 +275,16 @@ def write_table_csv(path: str | Path, columns: Mapping[str, np.ndarray]) -> Path
     return path
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
-
-
 def write_json(path: str | Path, payload) -> Path:
     """Write JSON deterministically (sorted keys, fixed separators).
 
-    A float that is not finite has no JSON form: it raises ``ValueError``
-    and nothing is written.
+    ``payload`` holds plain JSON values only: any other object, a numpy
+    integer or array among them, raises ``TypeError``, and a float that is
+    not finite, which has no JSON form, ``ValueError``.  Either way nothing
+    is written.
     """
     path = Path(path)
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable,
-                      allow_nan=False)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n")
     return path
 

@@ -205,57 +205,6 @@ def test_simulate_rejects_invalid_values_and_writes_nothing(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text, message", [
-    ("[1]", "top level must be a JSON object"),
-    ('{"params_sweep": 5}', "config[params_sweep]: expected an object"),
-    ('{"params_sweep": {"chi": "a"}}', "config[params_sweep.chi]"),
-    ('{"params_sweep": {"kapa": 1}}', "unknown keys ['kapa']"),
-    ('{"params_sweep": {"num": 2.5}}', "config[params_sweep.num]"),
-    ('{"params_sweep": {"directory": 5}}', "config[params_sweep.directory]"),
-    ('{"params_sweep": {"chi": -1}}', "chi must be non-negative"),
-    ('{"params_swep": {"chi": 0.2, "num": 11}}',
-     "config: unknown keys ['params_swep']"),
-    # numpy refuses this count before it allocates anything
-    pytest.param('{"params_sweep": {"num": 1%s}}' % ("0" * 400),
-                 "params sweep: Maximum allowed size exceeded",
-                 id="num_10_to_the_400"),
-])
-def test_params_rejects_malformed_configs(tmp_path, capsys, text, message):
-    path = tmp_path / "params.json"
-    path.write_text(text)
-    assert main(["params", "--config", str(path),
-                 "--out", str(tmp_path / "p")]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err and message in err
-    assert not (tmp_path / "p").exists()
-
-
-def test_params_config_sets_sweep_and_directory(tmp_path, monkeypatch):
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-    path = write_config(tmp_path, {"params_sweep": {
-        "num": 11, "chi": 0.1, "directory": str(tmp_path / "from_config")}})
-    assert main(["params", "--config", path]) == 0
-    report = json.loads(
-        (tmp_path / "from_config" / "report.json").read_text())
-    assert report["sweep_points"] == 11
-    assert report["parameters"]["chi"] == 0.1
-    # numbers are echoed as written; only num must become an int
-    whole = write_config(tmp_path, {"params_sweep": {
-        "num": 11.0, "chi": 1, "kappa": 2,
-        "directory": str(tmp_path / "whole")}}, name="whole.json")
-    assert main(["params", "--config", whole]) == 0
-    report = json.loads((tmp_path / "whole" / "report.json").read_text())
-    assert report["sweep_points"] == 11
-    chi, kappa = report["parameters"]["chi"], report["parameters"]["kappa"]
-    assert (chi, kappa) == (1, 2)
-    assert type(chi) is int and type(kappa) is int
-    # a flag beats the config file
-    assert main(["params", "--config", path, "--num", "21"]) == 0
-    report = json.loads(
-        (tmp_path / "from_config" / "report.json").read_text())
-    assert report["sweep_points"] == 21
-
-
 def test_simulate_numerical_failure_exits_3(tmp_path, capsys):
     cfg = small_config()
     cfg["run"]["solver"] = {"max_steps": 5}
@@ -454,6 +403,10 @@ _NUMBER_KEYS = [(model, path) for model, cfg in _SMALL_RUNS.items()
 @example(key=("stable", ("initial", "stable", "n_particles")), value=5e-324)
 @example(key=("langevin", ("microscopic", "delta")), value=-1e200)
 @example(key=("stable", ("initial", "stable", "n_particles")), value=1e200)
+# a subnormal g N, whose stable width overflows: exit 2
+@example(key=("stable", ("initial", "stable", "n_particles")),
+         value=2.225073858507e-311)
+@example(key=("stable", ("effective", "g")), value=-2.225073858507e-311)
 # a first step that underflows to 0: exit 3
 @example(key=("collective", ("effective", "g")), value=1e200)
 @given(key=st.sampled_from(_NUMBER_KEYS), value=st.floats())
@@ -562,6 +515,23 @@ def test_fit_exits_0_exactly_for_a_finite_positive_threshold(soliton_csv,
     assert rc == (0 if 0 < threshold < math.inf else 2)
 
 
+@pytest.mark.parametrize("w", [1e-3, 1.0, 50.0])
+def test_fit_of_a_soliton_of_any_amplitude_exits_0_or_3(tmp_path, w):
+    # |psi|^2 squared underflows for a tiny amplitude, and |psi|^2 itself
+    # overflows for a huge one
+    snap = tmp_path / "snap.csv"
+    for k in range(-160, 161):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err, \
+                warnings.catch_warnings():
+            # w = 50 leaves the domain, and polyfit is poorly conditioned
+            warnings.simplefilter("ignore")
+            write_field_csv(snap, make_soliton_field(SolitonCoords(
+                psi=10.0**k, x0=20.0, v=0.1, w=w, d=0.0, phi=0.0), 40.0, 400))
+            rc = main(["fit", "--input", str(snap)])
+        assert rc in (0, 3), (k, err.getvalue())
+
+
 def test_fit_featureless_snapshot_is_numerical_failure(tmp_path, capsys):
     flat = write_field_csv(tmp_path / "flat.csv",
                            FieldState(np.ones(64, dtype=complex), 64.0))
@@ -617,7 +587,7 @@ def test_malformed_snapshot_is_a_configuration_error(tmp_path, capsys,
         SolitonCoords(psi=1.0, x0=20.0, v=0.1, w=1.0, d=0.0, phi=0.3),
         40.0, 400)
     write = write_field_json if suffix == ".json" else write_field_csv
-    snap = write(tmp_path / f"snap{suffix}", field, {"t": "0"})
+    snap = write(tmp_path / f"snap{suffix}", field, 0.0)
     snap.write_text(corrupt(snap.read_text()))
     if command == "fit":
         argv = ["fit", "--input", str(snap)]
@@ -645,7 +615,7 @@ def test_non_finite_snapshot_is_a_configuration_error(tmp_path, capsys,
         SolitonCoords(psi=1.0, x0=20.0, v=0.1, w=1.0, d=0.0, phi=0.3),
         40.0, 400)
     if suffix == ".csv":
-        snap = write_field_csv(tmp_path / "snap.csv", field, {"t": "0"})
+        snap = write_field_csv(tmp_path / "snap.csv", field, 0.0)
         snap.write_text(_edit_row(snap.read_text(), lambda row: ",".join(
             row.split(",")[:2] + [value])))
     else:
@@ -790,6 +760,29 @@ def test_params_rejects_a_count_too_large_to_allocate(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--chi", "-1"], "chi must be non-negative"),
+    # numpy refuses this count before it allocates anything
+    (["--num", "1" + "0" * 400], "params sweep: Maximum allowed size exceeded"),
+], ids=["negative_chi", "num_10_to_the_400"])
+def test_params_rejects_a_flag_its_sweep_cannot_take(tmp_path, capsys, flags,
+                                                      message):
+    out = tmp_path / "p"
+    assert main(["params", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not out.exists()
+
+
+def test_params_takes_no_config_file(tmp_path, capsys):
+    path = write_config(tmp_path, {"params_sweep": {"num": 11}})
+    with pytest.raises(SystemExit) as info:
+        main(["params", "--config", path, "--out", str(tmp_path / "p")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
 def test_params_rejects_a_count_it_cannot_allocate(tmp_path, capsys):
     out = tmp_path / "p"
     assert main(["params", "--num", str(_UNALLOCATABLE),
@@ -799,23 +792,13 @@ def test_params_rejects_a_count_it_cannot_allocate(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_params_config_takes_an_integral_float_count(tmp_path):
-    path = write_config(tmp_path, {"params_sweep": {"num": 11.0}})
-    assert main(["params", "--config", path,
-                 "--out", str(tmp_path / "p")]) == 0
-    report = json.loads((tmp_path / "p" / "report.json").read_text())
-    assert report["sweep_points"] == 11
-
-
-@pytest.mark.parametrize("command", ["simulate", "params", "fit",
-                                     "field_file"])
+@pytest.mark.parametrize("command", ["simulate", "fit", "field_file"])
 def test_json_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys,
                                                        command):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     argv = {
         "simulate": ["simulate", "--config", str(deep)],
-        "params": ["params", "--config", str(deep)],
         "fit": ["fit", "--input", str(deep)],
         "field_file": ["simulate", "--config", write_config(
             tmp_path, small_config(initial={"field_file": str(deep)}))],
@@ -829,7 +812,7 @@ def test_json_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys,
 
 def test_fit_names_the_line_of_a_short_row(tmp_path, capsys):
     snap = write_field_csv(tmp_path / "snap.csv", FieldState(
-        np.ones(64, dtype=complex), 64.0), {"t": "0"})
+        np.ones(64, dtype=complex), 64.0), 0.0)
     snap.write_text(_edit_row(snap.read_text(),
                               lambda row: row.rsplit(",", 1)[0]))
     assert main(["fit", "--input", str(snap)]) == 2

@@ -35,8 +35,7 @@ def test_format_float_roundtrips_doubles():
 def test_field_csv_roundtrip_is_exact(tmp_path, rng):
     psi = random_complex(rng, 64)
     field = FieldState(psi, 32.0)
-    path = write_field_csv(tmp_path / "field.csv", field,
-                           meta={"t": "1.5", "note": "checkpoint"})
+    path = write_field_csv(tmp_path / "field.csv", field, t=1.5)
     back = read_field_csv(path)
     assert np.array_equal(back.psi, field.psi)
     assert back.domain_length == 32.0
@@ -75,7 +74,7 @@ def _on_line_11(edit):
 def test_malformed_csv_row_is_named_by_its_line(tmp_path, edit, message):
     path = write_field_csv(tmp_path / "field.csv",
                            FieldState(np.ones(16, dtype=complex), 16.0),
-                           meta={"t": "0"})
+                           t=0.0)
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError) as info:
         read_field_csv(path)
@@ -91,7 +90,7 @@ def test_malformed_csv_row_is_named_by_its_line(tmp_path, edit, message):
 def test_csv_row_with_a_non_finite_psi_is_named_by_its_line(tmp_path, edit):
     path = write_field_csv(tmp_path / "field.csv",
                            FieldState(np.ones(16, dtype=complex), 16.0),
-                           meta={"t": "0"})
+                           t=0.0)
     lines = path.read_text().splitlines(keepends=True)
     lines[10] = edit(*lines[10].rstrip("\n").split(",")) + "\n"
     path.write_text("".join(lines))
@@ -161,29 +160,12 @@ def test_json_x_off_the_metadata_grid_is_rejected(tmp_path, x):
 def test_csv_header_row_only_before_the_data(tmp_path, line, text):
     path = write_field_csv(tmp_path / "field.csv",
                            FieldState(np.ones(16, dtype=complex), 16.0),
-                           meta={"t": "0"})
+                           t=0.0)
     lines = path.read_text().splitlines(keepends=True)
     lines[line - 1] = text + "\n"
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match=f"^line {line}: "):
         read_field_csv(path)
-
-
-@pytest.mark.parametrize("meta", [
-    {"note": "a\nb"},
-    {"note": "a\rb"},
-    {"a\rb": "c"},
-    {"domain_length": "9"},
-    {"boundary": "open"},
-    {"#boundary": "open"},
-    {"boundary=open": "x"},
-])
-def test_csv_meta_that_would_not_read_back_is_rejected(tmp_path, meta):
-    path = tmp_path / "field.csv"
-    with pytest.raises(ValueError, match="^meta "):
-        write_field_csv(path, FieldState(np.ones(16, dtype=complex), 16.0),
-                        meta)
-    assert not path.exists()
 
 
 def test_field_csv_requires_domain_length(tmp_path):
@@ -195,12 +177,11 @@ def test_field_csv_requires_domain_length(tmp_path):
 
 def test_field_json_roundtrip_is_exact(tmp_path, rng):
     field = FieldState(random_complex(rng, 48), 24.0)
-    path = write_field_json(tmp_path / "field.json", field,
-                            meta={"preset": "demo"})
+    path = write_field_json(tmp_path / "field.json", field, t=1.5)
     back = read_field_json(path)
     assert np.array_equal(back.psi, field.psi)
     payload = json.loads(path.read_text())
-    assert payload["meta"] == {"preset": "demo"}
+    assert payload["meta"] == {"t": "1.5"}
 
 
 def test_table_csv_layout_and_validation(tmp_path):
@@ -216,20 +197,11 @@ def test_table_csv_layout_and_validation(tmp_path):
                         {"a": np.zeros(3), "b": np.zeros(2)})
 
 
-def test_write_json_handles_numpy_and_paths(tmp_path):
-    path = write_json(tmp_path / "out.json", {
-        "scalar": np.float64(0.5),
-        "count": np.int64(3),
-        "arr": np.array([1.0, 2.0]),
-        "where": tmp_path / "x",
-    })
-    payload = json.loads(path.read_text())
-    assert payload["scalar"] == 0.5
-    assert payload["count"] == 3
-    assert payload["arr"] == [1.0, 2.0]
-    assert payload["where"].endswith("x")
-    with pytest.raises(TypeError, match="serializable"):
-        write_json(tmp_path / "bad.json", {"f": object()})
+def test_write_json_refuses_what_json_cannot_hold(tmp_path):
+    # plain JSON values only: a numpy integer is not one
+    with pytest.raises(TypeError, match="int64"):
+        write_json(tmp_path / "count.json", {"count": np.int64(3)})
+    assert not (tmp_path / "count.json").exists()
     # NaN has no JSON form: refused before anything is written
     with pytest.raises(ValueError):
         write_json(tmp_path / "nan.json", {"drift": float("nan")})
@@ -267,20 +239,21 @@ def test_manifest_lists_files_with_checksums(tmp_path):
 # Reference renderers: one format_float per value.  The bulk writers must
 # reproduce their bytes exactly.
 
-def reference_field_csv(field, meta=None) -> bytes:
+def reference_field_csv(field, t=None) -> bytes:
     lines = [f"# domain_length={format_float(field.domain_length)}",
              f"# boundary={field.boundary}"]
-    lines += [f"# {key}={value}" for key, value in (meta or {}).items()]
+    lines += [] if t is None else [f"# t={format_float(t)}"]
     lines.append("x,re_psi,im_psi")
     lines += [f"{format_float(xi)},{format_float(pi.real)},"
               f"{format_float(pi.imag)}" for xi, pi in zip(field.x, field.psi)]
     return ("\n".join(lines) + "\n").encode()
 
 
-def reference_field_json(field, meta=None) -> bytes:
+def reference_field_json(field, t=None) -> bytes:
     """For a finite psi only: ``json.dumps`` writes NaN and Infinity."""
+    meta = {} if t is None else {"t": format_float(t)}
     head = json.dumps({"domain_length": field.domain_length,
-                       "boundary": field.boundary, "meta": dict(meta or {})})
+                       "boundary": field.boundary, "meta": meta})
     lists = [f'"{key}": [{",".join(map(format_float, values))}]'
              for key, values in (("x", field.x), ("re_psi", field.psi.real),
                                  ("im_psi", field.psi.imag))]
@@ -309,19 +282,21 @@ def _special_psi(n: int) -> np.ndarray:
 @pytest.mark.parametrize("boundary", [PERIODIC, OPEN])
 @pytest.mark.parametrize("n", [16, 17, 4000])
 @pytest.mark.parametrize("special", [False, True])
-@pytest.mark.parametrize("meta", [None, {"t": "1.5", "note": 'a "b"\\c',
-                                          "z": "0"}])
+# the writers' keyword arguments
+@pytest.mark.parametrize("meta", [None, {"t": 0.1}])
 def test_field_writers_match_the_per_value_renderers(tmp_path, rng, boundary,
                                                      n, special, meta):
     psi = _special_psi(n) if special else random_complex(rng, n)
     field = FieldState(psi, 40.0 + n / 3.0, boundary)
-    csv = write_field_csv(tmp_path / "f.csv", field, meta)
-    assert csv.read_bytes() == reference_field_csv(field, meta)
-    text = write_field_json(tmp_path / "f.json", field, meta).read_text()
+    meta = meta or {}
+    csv = write_field_csv(tmp_path / "f.csv", field, **meta)
+    assert csv.read_bytes() == reference_field_csv(field, **meta)
+    text = write_field_json(tmp_path / "f.json", field, **meta).read_text()
     payload = json.loads(text, parse_int=float)
     assert payload["domain_length"] == field.domain_length
     assert payload["boundary"] == boundary
-    assert payload["meta"] == dict(meta or {})
+    assert payload["meta"] == {key: format_float(value)
+                               for key, value in meta.items()}
     # each list item as written, beside the CSV's cells of its column
     items = json.loads(text, parse_float=str, parse_int=str,
                        parse_constant=str)
@@ -334,15 +309,7 @@ def test_field_writers_match_the_per_value_renderers(tmp_path, rng, boundary,
         if np.isfinite(values).all():
             assert items[key] == [row.split(",")[j] for row in rows]
     if not special:
-        assert text.encode() == reference_field_json(field, meta)
-
-
-def test_field_json_keeps_arbitrary_meta(tmp_path, rng):
-    field = FieldState(random_complex(rng, 16), 16.0)
-    meta = {"b": "line\nbreak", "a": "{\n  \"x\": [1]\n}", "é": "ü\t"}
-    path = write_field_json(tmp_path / "f.json", field, meta)
-    assert json.loads(path.read_text())["meta"] == meta
-    assert np.array_equal(read_field_json(path).psi, field.psi)
+        assert text.encode() == reference_field_json(field, **meta)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 4000])
@@ -398,8 +365,8 @@ def test_interleaved_writes_of_two_fields_match_the_references(a, b, order):
             kind, name = step.split()
             write, reference = writers[kind]
             field = fields[name]
-            path = write(Path(tmp) / f"{name}.{kind}", field, {"t": "1"})
-            assert path.read_bytes() == reference(field, {"t": "1"}), step
+            path = write(Path(tmp) / f"{name}.{kind}", field, 1.0)
+            assert path.read_bytes() == reference(field, 1.0), step
             if name == "A" and not mutated:
                 field.psi[::3] = -field.psi[::3]    # flips sign bits
                 mutated = True

@@ -127,11 +127,7 @@ def _initial_guess(x: np.ndarray, psi: np.ndarray, dx: float) -> np.ndarray:
     u = x[sl] - x0
     phase = np.unwrap(np.angle(psi[sl]))
     if len(u) >= 3:
-        # polyfit squares its weights, and a tiny peak's squares vanish;
-        # scaled exactly, by a power of two, to a peak in [0.5, 1), they
-        # give the coefficients unscaled weights give, bit for bit
-        weights = np.ldexp(occ[sl], -math.frexp(peak)[1])
-        c2, c1, c0 = np.polyfit(u, phase, 2, w=weights)
+        c2, c1, c0 = np.polyfit(u, phase, 2, w=occ[sl])
     else:
         c2, c1, c0 = 0.0, 0.0, float(np.angle(psi[j_peak]))
     return np.array([amp, x0, c1, w, c2, c0])
@@ -207,14 +203,23 @@ def fit_soliton(
     ValueError
         If the field holds a non-finite value.
     FloatingPointError
-        If |Psi|^2 overflows.
+        If |Psi| overflows.
     NoPeakError
         If the occupation has no localized peak (peak <= 10x median).
     """
     if not np.all(np.isfinite(field.psi)):
         raise ValueError("field holds a non-finite value")
-    with np.errstate(over="raise"):     # |psi|^2 beyond the largest double
-        occ = np.abs(field.psi) ** 2
+    # A field far from unit amplitude is fitted scaled, exactly, by a power
+    # of 2^256 that takes its peak amplitude within 2^128 of 1, so that its
+    # squares and those of the misfit stay normal doubles; a field within
+    # that range is fitted as given.
+    amplitude = float(np.max(np.abs(field.psi)))
+    if amplitude == math.inf:
+        raise FloatingPointError("|psi| exceeds the largest double")
+    exp = 256 * round(math.frexp(amplitude)[1] / 256)
+    psi = np.ldexp(np.ascontiguousarray(field.psi).view(float),
+                   -exp).view(complex)
+    occ = np.abs(psi) ** 2
     peak = float(np.max(occ))
     if peak <= 10.0 * float(np.median(occ)):
         raise NoPeakError(
@@ -222,7 +227,6 @@ def fit_soliton(
 
     x = field.x
     dx = field.dx
-    psi = field.psi
     shift = 0
     if field.boundary == PERIODIC:
         shift = field.n_points // 2 - int(np.argmax(occ))
@@ -243,7 +247,7 @@ def fit_soliton(
     model_occ = np.abs(_soliton_terms(x, *theta)[0]) ** 2
     residual = float(np.sqrt(np.mean((model_occ - occ) ** 2))) / peak
 
-    coords = SolitonCoords(psi=float(amp), x0=float(x0), v=float(v),
+    coords = SolitonCoords(psi=math.ldexp(amp, exp), x0=float(x0), v=float(v),
                            w=float(w), d=float(d), phi=_wrap_phase(phi))
     converged = stopped and residual < residual_threshold
     return FitResult(coords=coords, residual=residual, converged=converged)

@@ -60,6 +60,7 @@ from .model_continuum import (
 )
 from .model_effective import make_chain_ode
 from .model_full import (
+    _frame_phases,
     hopping_part,
     make_full_ode,
     rotating_frame_to_effective,
@@ -367,18 +368,31 @@ def _dispatch_run(cfg, eff, res, chain, start, times, problem, solver
     and its field snapshots by file stem."""
     model = cfg["model"]
     if model in ("pcdnse", "lattice", "langevin"):
-        series = site_series = solve(problem, solver)
+        # Each state is reduced as the solve reaches it; only the fields
+        # written as files are kept, in one block (separate copies would
+        # fragment the heap).  At most one file per snapshot, so the
+        # indices are distinct.
+        n_files = min(cfg["output"]["field_files"], len(times))
+        kept = {i: row for row, i in enumerate(
+            np.linspace(0, len(times) - 1, n_files).astype(int).tolist())}
+        fields = np.empty((n_files, start.n_points), complex)
+        n_series, e_series, peak = [], [], []
         if model == "langevin":
-            site_series = rotating_frame_to_effective(series, res, chain)
-        fields = [start.with_psi(s) for s in site_series.states]
-        n_series = [particle_number(f) for f in fields]
-        e_series = [field_energy(f, eff) for f in fields]
-        peak = [float(np.max(np.abs(f.psi))) for f in fields]
-        t = site_series.times
-        # at most one file per snapshot, so the indices are distinct
-        n_files = min(cfg["output"]["field_files"], len(t))
-        snapshots = {f"snap_{i:04d}": (fields[i], t[i])
-                     for i in np.linspace(0, len(t) - 1, n_files).astype(int)}
+            phases = _frame_phases(res, chain, problem.times)
+
+        def record(i: int, y: np.ndarray) -> None:
+            psi = y[chain.sites:] * phases[i] if model == "langevin" else y
+            f = start.with_psi(psi)
+            n_series.append(particle_number(f))
+            e_series.append(field_energy(f, eff))
+            peak.append(float(np.max(np.abs(f.psi))))
+            if i in kept:
+                fields[kept[i]] = psi
+
+        series = solve(problem, solver, record)
+        t = series.times
+        snapshots = {f"snap_{i:04d}": (start.with_psi(fields[row]), t[i])
+                     for i, row in kept.items()}
         diag, tables = _diagnostics_and_flags(t, n_series, e_series, peak)
         if model == "langevin":
             r1, r2 = weak_coupling_ratios(res, chain, max(peak))
@@ -764,12 +778,21 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool
     field0 = make_soliton_field(coords, domain, int(round(domain / 0.5)),
                                 PERIODIC, containment_tol=0.02)
 
-    # Short field run: does the perturbed soliton keep its shape?
+    # Short field run: does the perturbed soliton keep its shape?  The run
+    # keeps each state's peak and the states it fits.
     step, fit_stride = 2.5, 25.0
     times = np.arange(0.0, 500.0 + 1e-9, step)
+    every = round(fit_stride / step)
+    peaks, fit_states = [], []
+
+    def record(i: int, y: np.ndarray) -> None:
+        peaks.append(float(np.max(np.abs(y))))
+        if i % every == 0:
+            fit_states.append(y.copy())
+
     series = solve(_field_problem(field0, eff, times),
-                   SOLVER_PRESETS["pcdnse"])
-    peak_series = np.max(np.abs(series.states), axis=1)
+                   SOLVER_PRESETS["pcdnse"], record)
+    peak_series = np.array(peaks)
 
     # Shape-integrity threshold: benign radiation shed while relaxing keeps
     # the RMS misfit below ~5e-3 even for a 10% amplitude kick, while a
@@ -777,10 +800,9 @@ def _fig5_single_delta(delta: float, gamma: float, full: bool
     # entirely (NoPeakError once it dissolves into the background).
     breakup_time = None
     fit_times, residuals = [], []
-    for idx in range(0, len(series.times), round(fit_stride / step)):
+    for idx, state in zip(range(0, len(series.times), every), fit_states):
         try:
-            fit = fit_soliton(field0.with_psi(series.states[idx]),
-                              residual_threshold=1e-2)
+            fit = fit_soliton(field0.with_psi(state), residual_threshold=1e-2)
         except NoPeakError:
             breakup_time = float(series.times[idx])
             break
@@ -882,10 +904,12 @@ def _fig6_single_gamma(gamma: float) -> tuple[dict, dict]:
     field0 = f_left.with_psi(f_left.psi + f_right.psi)
 
     times = np.linspace(0.0, 25.0, 101)
+    energies = []
     series = solve(_field_problem(field0, eff, times),
-                   SOLVER_PRESETS["two_soliton"])
-    e_two = np.array([field_energy(field0.with_psi(s), eff)
-                      for s in series.states])
+                   SOLVER_PRESETS["two_soliton"],
+                   lambda i, y: energies.append(
+                       field_energy(field0.with_psi(y), eff)))
+    e_two = np.array(energies)
 
     # Separated prediction: two independent stable solitons, each damping.
     ss = stable_soliton(left.particle_number, eff)

@@ -33,6 +33,10 @@ tolerance whatever the number of entries.  rkf78, which has no continuous
 extension, and Lawson steps are, so what they record are genuine step
 points.
 
+A solve either returns every recorded state in one array or hands each to a
+``record(i, state)`` callback as soon as it reaches entry i and keeps none,
+so a caller that reduces the states as they come holds only what it keeps.
+
 References
 ----------
 [1] Ch. Tsitouras, Comput. Math. Appl. 62, 770 (2011).
@@ -174,16 +178,19 @@ class SolveStats:
 
 @dataclass
 class TimeSeries:
-    """Recorded trajectory: ``states[i]`` is the state at ``times[i]``."""
+    """Recorded trajectory: ``states[i]`` is the state at ``times[i]``, or
+    ``states`` is ``None`` when the solve passed the states to a callback."""
 
     times: np.ndarray
-    states: np.ndarray
+    states: np.ndarray | None
     stats: SolveStats | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states)
-        if self.times.ndim != 1 or len(self.times) != len(self.states):
+        if self.states is not None:
+            self.states = np.asarray(self.states)
+        if self.times.ndim != 1 or (self.states is not None
+                                    and len(self.times) != len(self.states)):
             raise ValueError("times and states must have matching leading length")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
@@ -413,11 +420,13 @@ class _LawsonStages:
         self.k = np.empty((len(tab.c), y.size), dtype=complex)
         self.k[0] = self.forward(f0) - self.lam * self.yhat
         self.k0_valid = True
-        # E(c h) is needed at every stage node c and at c = 1 for the step.
-        # An exponential costs more than a transform of the same length, so
-        # it is taken once per distinct eigenvalue (a parity-symmetric
-        # operator has lam_k = lam_{n-k} in the Fourier basis).
-        self.nodes = sorted(set(tab.c[1:].tolist()) | {1.0})
+        # E(c h) is needed at every stage node c and at c = 1 for the step;
+        # E(0) is 1 exactly, so a stage at c = 0 (rkf78's twelfth) takes
+        # none.  An exponential costs more than a transform of the same
+        # length, so it is taken once per distinct eigenvalue (a
+        # parity-symmetric operator has lam_k = lam_{n-k} in the Fourier
+        # basis).
+        self.nodes = sorted(set(tab.c[1:].tolist()) - {0.0} | {1.0})
         self.distinct, self.index = np.unique(self.lam, return_inverse=True)
         self.pending: tuple[np.ndarray, np.ndarray | None] | None = None
 
@@ -435,11 +444,16 @@ class _LawsonStages:
         growth = {c: np.exp(self.distinct * (c * h))[self.index]
                   for c in self.nodes}
         for i in range(1, n_stages):
-            e = growth[tab.c[i]]
-            yhat_i = e * (self.yhat + h * (tab.a[i, :i] @ k[:i]))
+            e = growth.get(tab.c[i])
+            yhat_i = self.yhat + h * (tab.a[i, :i] @ k[:i])
+            if e is not None:
+                yhat_i = e * yhat_i
             y_i = inverse(yhat_i)
             nhat_i = forward(rhs(t + tab.c[i] * h, y_i)) - lam * yhat_i
-            np.divide(nhat_i, e, out=k[i])
+            if e is None:
+                k[i] = nhat_i
+            else:
+                np.divide(nhat_i, e, out=k[i])
         self.stats.n_rhs += n_stages - 1
         e = growth[1.0]
         if tab.fsal:
@@ -459,7 +473,9 @@ class _LawsonStages:
             self.k[0] = nhat
 
 
-def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
+def solve(problem: OdeProblem, config: SolverConfig,
+          record: Callable[[int, np.ndarray], object] | None = None
+          ) -> TimeSeries:
     """Integrate ``problem`` over its time grid and return the trajectory.
 
     The solve starts at ``problem.times[0]``, stops at ``problem.times[-1]``
@@ -467,6 +483,13 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
     result's ``times`` equals bit for bit.  With ``problem.linear`` set,
     the steps are taken in Lawson form (see the module docstring).
     Identical inputs produce bit-identical output.
+
+    Without ``record`` the result holds every recorded state.  With it,
+    ``record(i, state)`` is called for each entry i in order, entry 0
+    first, as soon as the solve reaches it, with the state the stored path
+    would hold, bit for bit; the result's ``states`` is ``None``.  The array
+    belongs to the caller only during the call, so a caller copies what it
+    keeps.  An exception raised by ``record`` ends the solve.
 
     Raises
     ------
@@ -489,8 +512,11 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
 
     stats = SolveStats()
     t, t_end = float(times[0]), float(times[-1])
-    states = np.empty((len(times), y.size), y.dtype)
-    states[0] = y
+    states = None
+    if record is None:
+        states = np.empty((len(times), y.size), y.dtype)
+        record = states.__setitem__
+    record(0, y)
     out_idx = 1                          # the next entry to record
 
     f0 = rhs(t, y)
@@ -549,10 +575,11 @@ def solve(problem: OdeProblem, config: SolverConfig) -> TimeSeries:
             hit = float(times[stop - 1]) == t_new
             inner = slice(out_idx, stop - 1 if hit else stop)
             if inner.stop > inner.start:
-                states[inner] = stages.interpolate(
-                    y, h, (times[inner] - t) / h)
+                rows = stages.interpolate(y, h, (times[inner] - t) / h)
+                for i, row in enumerate(rows, inner.start):
+                    record(i, row)
             if hit:
-                states[stop - 1] = y_new
+                record(stop - 1, y_new)
             out_idx = stop
             t, y = t_new, y_new
             stages.accept()

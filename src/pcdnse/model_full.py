@@ -103,6 +103,14 @@ def hopping_part(res: ReservoirParams, chain: ChainParams) -> LinearPart | None:
     return LinearPart(lam, on_sites(np.fft.fft), on_sites(np.fft.ifft))
 
 
+def _frame_phases(res: ReservoirParams, chain: ChainParams,
+                  times: np.ndarray) -> np.ndarray:
+    """The gauge phases exp(i (chi eta^2/(delta^2 + kappa^2/4) - 2J) t)
+    that take site amplitudes at ``times`` to the effective frame."""
+    shift = res.chi * res.eta**2 / (res.delta**2 + res.kappa**2 / 4.0)
+    return np.exp(1j * (shift - 2.0 * chain.hopping) * times)
+
+
 def rotating_frame_to_effective(series: TimeSeries, res: ReservoirParams,
                                 chain: ChainParams) -> TimeSeries:
     """Map a packed full-model trajectory to effective-frame site amplitudes.
@@ -111,12 +119,11 @@ def rotating_frame_to_effective(series: TimeSeries, res: ReservoirParams,
     occupations are unchanged, so cross-model occupation comparisons may use
     either frame.
     """
-    shift = res.chi * res.eta**2 / (res.delta**2 + res.kappa**2 / 4.0)
     states = np.asarray(series.states)
     if states.ndim != 2 or states.shape[1] % 2:
         raise ValueError("series must hold packed full states")
     half = states.shape[1] // 2
-    phases = np.exp(1j * (shift - 2.0 * chain.hopping) * series.times)
+    phases = _frame_phases(res, chain, series.times)
     return TimeSeries(series.times.copy(),
                       states[:, half:] * phases[:, None],
                       series.stats)

@@ -458,21 +458,13 @@ def test_fit_command_stdout_and_file(tmp_path, capsys):
     assert main(["fit", "--input", str(tmp_path / "none.csv")]) == 2
 
 
-def test_fit_with_a_residual_that_overflows_writes_null(tmp_path, capsys):
-    # |psi|^2 = 1e300 fits, but the squared residual overflows
-    coords = SolitonCoords(psi=1e150, x0=20.0, v=0.1, w=1.0, d=0.0, phi=0.0)
-    snap = write_field_csv(tmp_path / "snap.csv",
-                           make_soliton_field(coords, 40.0, 400))
-    out = tmp_path / "fit.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")     # polyfit is poorly conditioned
-        assert main(["fit", "--input", str(snap)]) == 0
-        assert main(["fit", "--input", str(snap), "--out", str(out)]) == 0
-    printed = capsys.readouterr().out.split("fit written to")[0]
-    for text in (printed, out.read_text()):
-        payload = json.loads(text, parse_constant=_reject_constant)
-        assert payload["residual"] is None
-        assert payload["converged"] is False
+def test_fit_of_a_snapshot_whose_modulus_overflows_exits_3(tmp_path, capsys):
+    # each part is finite, but |psi| is beyond the largest double
+    psi = np.full(64, 1e-3, dtype=complex)
+    psi[30] = 1.5e308 + 1.5e308j
+    snap = write_field_csv(tmp_path / "snap.csv", FieldState(psi, 64.0))
+    assert main(["fit", "--input", str(snap)]) == 3
+    assert "FloatingPointError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
@@ -518,10 +510,11 @@ def test_fit_exits_0_exactly_for_a_finite_positive_threshold(soliton_csv,
 @pytest.mark.parametrize("w", [1e-3, 1.0, 50.0])
 def test_fit_of_a_soliton_of_any_amplitude_exits_0_or_3(tmp_path, w):
     # |psi|^2 squared underflows for a tiny amplitude, and |psi|^2 itself
-    # overflows for a huge one
+    # overflows for a huge one; the verdict is that of amplitude 1
     snap = tmp_path / "snap.csv"
+    verdicts = {}
     for k in range(-160, 161):
-        with contextlib.redirect_stdout(io.StringIO()), \
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
                 contextlib.redirect_stderr(io.StringIO()) as err, \
                 warnings.catch_warnings():
             # w = 50 leaves the domain, and polyfit is poorly conditioned
@@ -530,6 +523,12 @@ def test_fit_of_a_soliton_of_any_amplitude_exits_0_or_3(tmp_path, w):
                 psi=10.0**k, x0=20.0, v=0.1, w=w, d=0.0, phi=0.0), 40.0, 400))
             rc = main(["fit", "--input", str(snap)])
         assert rc in (0, 3), (k, err.getvalue())
+        if rc == 0:
+            payload = json.loads(out.getvalue(),
+                                 parse_constant=_reject_constant)
+            assert isinstance(payload["residual"], float), k
+            verdicts[k] = payload["converged"]
+    assert set(verdicts.values()) <= {verdicts.get(0)}
 
 
 def test_fit_featureless_snapshot_is_numerical_failure(tmp_path, capsys):

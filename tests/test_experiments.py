@@ -5,6 +5,9 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -483,14 +486,48 @@ def test_run_simulation_open_lattice_conserves_energy(tmp_path):
     assert diag["particle_conserved"]
 
 
+#: Runs ``pcdnse simulate`` on the config file in sys.argv[1], writing into
+#: sys.argv[2], and prints the process's peak resident set in kB.
+PEAK_RSS_OF_SIMULATE = """
+import resource, sys
+from pcdnse import cli
+assert cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_a_run_holds_the_states_it_writes_not_every_snapshot(tmp_path):
+    # 1501 states of 3000 sites take 72 MB; the run writes five of them
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    peak_kb = {}
+    for snapshots in (11, 1501):
+        config = tmp_path / f"{snapshots}.json"
+        config.write_text(json.dumps({
+            "model": "lattice", "effective": {"g": -0.5, "gamma": 0.05},
+            "sites": 3000, "boundary": "open",
+            "initial": {"soliton": {"psi": 1.0, "x0": 750.0, "v": 0.3}},
+            "run": {"t_final": 20.0, "snapshots": snapshots}}))
+        out = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_OF_SIMULATE, str(config),
+             str(tmp_path / str(snapshots))],
+            env=env, check=True, capture_output=True, text=True).stdout
+        peak_kb[snapshots] = int(out.split()[-1])
+        snaps = sorted((tmp_path / str(snapshots) / "snapshots").iterdir())
+        assert len(snaps) == 5
+    assert peak_kb[1501] - peak_kb[11] < 16 * 1024
+
+
 def _solved_problems(monkeypatch, cfg, out_dir) -> list:
     """The problems ``run_simulation(cfg)`` hands to ``solve``."""
     real_solve = experiments.solve
     problems = []
 
-    def spy(problem, config):
+    def spy(problem, config, record=None):
         problems.append(problem)
-        return real_solve(problem, config)
+        return real_solve(problem, config, record)
 
     monkeypatch.setattr(experiments, "solve", spy)
     run_simulation(cfg, out_dir)

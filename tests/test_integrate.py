@@ -539,3 +539,43 @@ def test_plain_tsit5_calls_rhs_once_per_counted_evaluation():
     assert series.stats.n_rejected >= 1
     assert series.stats.n_accepted < len(times)
     assert len(calls) == series.stats.n_rhs
+
+
+@pytest.mark.parametrize("kind", ["tsit5", "rkf78", "lawson"])
+def test_record_sees_each_entry_once_in_order_with_the_stored_bits(kind):
+    # plain tsit5 interpolates about four entries per step here; rkf78 and
+    # Lawson steps are clipped at each
+    field, eff = small_field(-0.1, 0.05, 32.0, 64)
+    linear = dispersion_part(field, eff) if kind == "lawson" else None
+    times = np.linspace(0.0, 2.0, 201)
+    problem = OdeProblem(make_pcdnse_ode(field, eff), times, field.psi,
+                         linear=linear)
+    config = SolverConfig(method="rkf78" if kind == "rkf78" else "tsit5")
+    stored = solve(problem, config)
+    seen = []
+    streamed = solve(problem, config,
+                     lambda i, y: seen.append((i, y.copy())))
+    if kind == "tsit5":
+        assert stored.stats.n_accepted < len(times) // 2
+    assert [i for i, _ in seen] == list(range(len(times)))
+    assert np.stack([y for _, y in seen]).tobytes() == stored.states.tobytes()
+    assert streamed.states is None
+    assert np.array_equal(streamed.times, stored.times)
+    assert streamed.stats == stored.stats
+
+
+def test_an_exception_raised_in_record_ends_the_solve():
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def record(i, y):
+        seen.append(i)
+        if i == 3:
+            raise Stop
+
+    with pytest.raises(Stop):
+        solve(OdeProblem(decay, np.linspace(0.0, 1.0, 11), np.array([1.0])),
+              SolverConfig(), record)
+    assert seen == [0, 1, 2, 3]

@@ -12,6 +12,9 @@ and OpenMP pinned to one thread:
 - ``experiment fig2``-``fig6``;
 - ``simulate`` of a periodic and an open ``pcdnse``, ``lattice`` and
   ``langevin`` config, one ``collective`` config and one ``stable`` config;
+- ``simulate`` of an open lattice and a periodic langevin chain with 201
+  snapshots, of which the default 5 are written as files, so most states
+  reach only the diagnostics;
 - the seed-21 snapshot_roundtrip config of ``perfbench/workloads.py``,
   then a ``fit`` of each CSV snapshot it wrote.
 
@@ -106,6 +109,10 @@ def cases() -> dict[str, str | dict]:
         out[f"pcdnse-{boundary}"] = _field(boundary)
         out[f"lattice-{boundary}"] = _lattice(boundary)
         out[f"langevin-{boundary}"] = _langevin(boundary)
+    out["lattice-open-201"] = {**_lattice("open"),
+                               "run": {"t_final": 20.0, "snapshots": 201}}
+    out["langevin-periodic-201"] = {**_langevin("periodic"),
+                                    "run": {"t_final": 5.0, "snapshots": 201}}
     out["collective"] = {
         "model": "collective", "effective": {"g": -0.1, "gamma": 0.05},
         "initial": {"soliton": {"psi": 1.0, "x0": 0.0, "v": 0.5}},

@@ -18,6 +18,7 @@ check or a failed sub-run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import inspect
 import json
@@ -134,12 +135,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             f"--residual-threshold must be finite and > 0, got {threshold!r}")
     field = read_snapshot(args.input, "--input")
     result = fit_soliton(field, residual_threshold=threshold)
-    payload = {
-        "psi": result.coords.psi, "x0": result.coords.x0,
-        "v": result.coords.v, "w": result.coords.w, "d": result.coords.d,
-        "phi": result.coords.phi, "residual": result.residual,
-        "converged": result.converged,
-    }
+    payload = {**dataclasses.asdict(result.coords),
+               "residual": result.residual, "converged": result.converged}
     if args.out:
         try:
             io.write_json(args.out, payload)

@@ -5,10 +5,11 @@ levels) and writes snapshots, diagnostics, a fully-defaulted config echo,
 and a checksummed manifest into the output directory.  The canned
 experiments, :func:`params_sweep` and the ``run_figN`` functions, only
 compute: each returns its report, whose ``checks`` section holds named
-pass/fail booleans, and its plot-ready tables by file stem.  Their sub-runs
-are independent and run in order on the calling thread.  Each returns its
-report row and its tables; a sub-run that raises is recorded and the
-others still report.  Only the three entry points, :func:`run_simulation`,
+pass/fail booleans, and its plot-ready tables by file stem.  A figure's
+sub-runs run in order on the calling thread, and its report has the one
+shape :func:`_run_jobs` builds: the ``experiment``, the ``rows`` of the
+sub-runs that finished, the ``checks`` and the ``failures`` of those that
+raised.  Only the three entry points, :func:`run_simulation`,
 :func:`run_params_sweep` and :func:`run_experiment`, create a directory,
 and each writes through one writer, :func:`_write_run`, after the run's
 last computation.
@@ -247,7 +248,14 @@ def _build_run(cfg: Mapping) -> tuple:
         start = _start_state(cfg, eff, kind, spec)
         # only a field's grid spacing can put its flow out of range
         where = "grid" if model == "pcdnse" else source
-        problem = _problem(model, eff, res, chain, start, times)
+        problem = None       # the stable model's solution is exact
+        if model == "collective":
+            problem = OdeProblem(make_collective_ode(eff), times,
+                                 start.to_array())
+        elif model == "langevin":
+            problem = _chain_problem(res, chain, start.psi, times)
+        elif model != "stable":
+            problem = _field_problem(start, eff, times)
         where = "run.solver"
         solver = None if "solver" not in run else SolverConfig(
             **{k: v for k, v in run["solver"].items() if k != "preset"})
@@ -336,20 +344,6 @@ def _chain_problem(res: ReservoirParams, chain: ChainParams, psi0: np.ndarray,
     y0 = np.concatenate([steady_state_cavities(res, len(psi0)), psi0])
     return OdeProblem(make_full_ode(res, chain), times, y0,
                       linear=hopping_part(res, chain))
-
-
-def _problem(model: str, eff: EffectiveParams, res: ReservoirParams | None,
-             chain: ChainParams | None, start, times: np.ndarray
-             ) -> OdeProblem | None:
-    """The flow of ``model`` from ``start``, recorded at ``times``; ``None``
-    for the stable model, whose solution is exact."""
-    if model == "stable":
-        return None
-    if model == "collective":
-        return OdeProblem(make_collective_ode(eff), times, start.to_array())
-    if model == "langevin":
-        return _chain_problem(res, chain, start.psi, times)
-    return _field_problem(start, eff, times)
 
 
 def _solve_counts(series: TimeSeries) -> dict:
@@ -588,25 +582,29 @@ def _fig3_single_size(sites: int, delta: float) -> tuple[dict, dict]:
         "occ_lattice": occ_lattice}}
 
 
-def _run_jobs(fn: Callable[..., tuple[dict, dict]], jobs
-              ) -> tuple[list[dict], list[str], dict]:
+def _run_jobs(experiment: str, fn: Callable[..., tuple[dict, dict]], jobs
+              ) -> tuple[dict, dict]:
     """Run ``fn(*job)`` for every job, in job order.
 
     Each sub-run returns its report row and its tables, columns by file
-    stem.  Returns the rows of the sub-runs that finished, one error
-    message per sub-run that raised (partial datasets are allowed), and
-    the tables of the sub-runs that finished.
+    stem.  Returns the report of ``experiment`` and the tables of the
+    sub-runs that finished.  The report holds the ``rows`` of the sub-runs
+    that finished, an empty ``checks`` mapping for the runner to fill, and
+    under ``failures`` one error message per sub-run that raised (partial
+    datasets are allowed).
     """
-    rows, failures, tables = [], [], {}
+    report = {"experiment": experiment, "rows": [], "checks": {},
+              "failures": []}
+    tables = {}
     for job in jobs:
         try:
             row, job_tables = fn(*job)
         except Exception as exc:  # noqa: BLE001 - recorded in the report
-            failures.append(f"{type(exc).__name__}: {exc}")
+            report["failures"].append(f"{type(exc).__name__}: {exc}")
             continue
-        rows.append(row)
+        report["rows"].append(row)
         tables.update(job_tables)
-    return rows, failures, tables
+    return report, tables
 
 
 def _tag(name: str, value: float) -> str:
@@ -638,26 +636,24 @@ def run_fig3a(full: bool = False) -> tuple[dict, dict]:
     def single_size(sites: int) -> tuple[dict, dict]:
         row, tables = _fig3_single_size(sites, -0.1)
         [profile] = tables.values()
-        x_rescaled = profile["site"] / row["scale"]
+        scale = row.pop("scale")
+        del row["delta"], row["alpha"]
+        x_rescaled = profile["site"] / scale
         for model in ("lattice", "langevin"):
             row[f"linf_rel_{model}_vs_continuum"] = compare_profiles(
-                x_rescaled, profile[f"occ_{model}"] * row["scale"]**2,
+                x_rescaled, profile[f"occ_{model}"] * scale**2,
                 field_ref.x, occ_ref)
-        return {k: row[k] for k in (
-            "sites", "t_final", "chi", "b_max", "r1", "r2",
-            "weak_coupling_ok", "linf_rel_langevin_vs_lattice",
-            "linf_rel_lattice_vs_continuum",
-            "linf_rel_langevin_vs_continuum")}, {f"profiles_L{sites}": profile}
+        return row, {f"profiles_L{sites}": profile}
 
-    rows, failures, tables = _run_jobs(single_size,
-                                       [(sites,) for sites in sizes])
+    report, tables = _run_jobs("fig3a", single_size,
+                               [(sites,) for sites in sizes])
     tables["pcdnse_reference"] = {"x": field_ref.x, "occupation": occ_ref}
 
-    checks = {
-        f"elimination_agrees_L{r['sites']}":
-            bool(r["linf_rel_langevin_vs_lattice"] < 0.05)
-        for r in rows if r["weak_coupling_ok"]
-    }
+    rows, checks = report["rows"], report["checks"]
+    for r in rows:
+        if r["weak_coupling_ok"]:
+            checks[f"elimination_agrees_L{r['sites']}"] = bool(
+                r["linf_rel_langevin_vs_lattice"] < 0.05)
     # Panel-(a) statement: the scaling family converges to the continuum
     # solution as the chain grows (the soliton widens in site units).  At
     # the two smallest sizes the profiles separate entirely within the
@@ -667,8 +663,7 @@ def run_fig3a(full: bool = False) -> tuple[dict, dict]:
     checks["continuum_error_improves_with_length"] = bool(
         len(errs) >= 2 and errs[-1] < errs[0])
     checks["largest_size_tracks_continuum"] = bool(errs and errs[-1] < 0.5)
-    return {"experiment": "fig3a", "rows": rows, "checks": checks,
-            "failures": failures}, tables
+    return report, tables
 
 
 def run_fig3b() -> tuple[dict, dict]:
@@ -686,11 +681,10 @@ def run_fig3b() -> tuple[dict, dict]:
     under 0.1 while the dynamics still disagrees at the 17% level, so the
     breakdown demonstration must sit at the calibration amplitude.
     """
-    rows, failures, tables = _run_jobs(_fig3_single_size,
-                                       [(800, -0.1), (400, -2.0)])
-
-    checks = {}
-    for row in rows:
+    report, tables = _run_jobs("fig3b", _fig3_single_size,
+                               [(800, -0.1), (400, -2.0)])
+    checks = report["checks"]
+    for row in report["rows"]:
         if row["delta"] == -0.1:
             checks["weak_detuning_agrees"] = bool(
                 row["linf_rel_langevin_vs_lattice"] < 0.05)
@@ -700,8 +694,7 @@ def run_fig3b() -> tuple[dict, dict]:
                 row["linf_rel_langevin_vs_lattice"] > 0.05)
             checks["strong_detuning_flagged"] = bool(
                 not row["weak_coupling_ok"])
-    return {"experiment": "fig3b", "rows": rows, "checks": checks,
-            "failures": failures}, tables
+    return report, tables
 
 
 def _fig4_single_gamma(gamma: float) -> tuple[dict, dict]:
@@ -743,21 +736,20 @@ def run_fig4() -> tuple[dict, dict]:
     7(8) steps at the ``pcdnse_tight`` preset and records only the two
     states the rate compares, at Jt = 0 and 4.
     """
-    rows, failures, tables = _run_jobs(
-        _fig4_single_gamma,
+    report, tables = _run_jobs(
+        "fig4", _fig4_single_gamma,
         [(gamma,) for gamma in (0.0125, 0.025, 0.05, 0.1, -0.0125)])
+    rows, checks = report["rows"], report["checks"]
     tables["damping"] = {
         key: np.array([r[key] for r in rows])
         for key in ("gamma", "g_gamma_psi4", "measured_rate",
                     "predicted_rate", "relative_error")}
 
-    checks = {}
     for r in rows:
         tag = _tag("gamma", r["gamma"])
         tol = 0.10 if r["gamma"] < 0 else 0.05
         checks[f"damping_matches_{tag}"] = bool(r["relative_error"] < tol)
-    return {"experiment": "fig4", "rows": rows, "checks": checks,
-            "failures": failures}, tables
+    return report, tables
 
 
 def _fig5_single_delta(delta: float, gamma: float, full: bool
@@ -856,13 +848,11 @@ def run_fig5(full: bool = False) -> tuple[dict, dict]:
     aborting the long run.
     """
     gamma = 0.1
-    deltas = (-0.1, 0.01, 0.3)
-
-    rows, failures, tables = _run_jobs(
-        _fig5_single_delta, [(d, gamma, full) for d in deltas])
-
-    checks = {}
-    for row in rows:
+    report, tables = _run_jobs("fig5", _fig5_single_delta,
+                               [(d, gamma, full) for d in (-0.1, 0.01, 0.3)])
+    report["gamma"] = gamma
+    checks = report["checks"]
+    for row in report["rows"]:
         if row["delta"] == 0.01:
             checks["small_perturbation_bounded"] = bool(
                 row["max_peak_deviation"] <= 2.0 * abs(row["delta"]))
@@ -875,9 +865,7 @@ def run_fig5(full: bool = False) -> tuple[dict, dict]:
         if row["delta"] == -0.1:
             checks["negative_perturbation_survives"] = bool(
                 row["breakup_time"] is None)
-
-    return {"experiment": "fig5", "gamma": gamma, "rows": rows,
-            "checks": checks, "failures": failures}, tables
+    return report, tables
 
 
 def _fig6_single_gamma(gamma: float) -> tuple[dict, dict]:
@@ -940,13 +928,10 @@ def run_fig6() -> tuple[dict, dict]:
     gamma = 0.01 the post-collision energy must sit below the separated
     prediction by more than the pre-collision noise band.
     """
-    gammas = (0.0, 0.01)
-
-    rows, failures, tables = _run_jobs(_fig6_single_gamma,
-                                       [(g,) for g in gammas])
-
-    checks = {}
-    for row in rows:
+    report, tables = _run_jobs("fig6", _fig6_single_gamma,
+                               [(g,) for g in (0.0, 0.01)])
+    checks = report["checks"]
+    for row in report["rows"]:
         if row["gamma"] == 0.0:
             checks["conservative_ratio_within_band"] = bool(
                 row["max_ratio_deviation"] < 0.01)
@@ -955,9 +940,7 @@ def run_fig6() -> tuple[dict, dict]:
                 row["pre_collision_band"] < 0.01)
             checks["collision_enhances_dissipation"] = bool(
                 1.0 - row["final_ratio"] >= row["pre_collision_band"])
-
-    return {"experiment": "fig6", "rows": rows, "checks": checks,
-            "failures": failures}, tables
+    return report, tables
 
 
 EXPERIMENTS: dict[str, Callable[..., tuple[dict, dict]]] = {

@@ -185,16 +185,6 @@ class TimeSeries:
     states: np.ndarray | None
     stats: SolveStats | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
-        if self.states is not None:
-            self.states = np.asarray(self.states)
-        if self.times.ndim != 1 or (self.states is not None
-                                    and len(self.times) != len(self.states)):
-            raise ValueError("times and states must have matching leading length")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-
 
 @dataclass(frozen=True)
 class _Tableau:
@@ -348,33 +338,50 @@ def _initial_step(rhs, t0, y0, f0, t1, order, atol, rtol, stats) -> float:
     return min(100 * h0, h1, t1 - t0)
 
 
+def _stage_rows(n_stages: int, n: int, dtype) -> np.ndarray:
+    """Zeroed stage rows for a state of n entries, m columns each: n
+    rounded up to a multiple of 16, or n itself below 16.
+
+    Stage sums over the m columns, sliced to n, have the same bits at any
+    BLAS thread count: OpenBLAS splits a product's columns between its
+    threads, and sums a share that is not a whole number of its kernel's
+    blocks partly another way.  This relies on how the OpenBLAS build
+    splits a product; a wider kernel (AVX-512) may split at other widths,
+    hence 16 and not 8.
+    """
+    m = n if n < 16 else -(-n // 16) * 16
+    return np.zeros((n_stages, m), dtype)
+
+
 class _Stages:
     """The stages of ``tab`` on y itself.
 
-    k[j] is stage j's slope; k[0] carries rhs(t, y) between steps.
+    k[j] is stage j's slope, the first n columns of ``rows[j]`` (see
+    :func:`_stage_rows`); k[0] carries rhs(t, y) between steps.
     """
 
     def __init__(self, tab: _Tableau, rhs, stats: SolveStats,
                  y: np.ndarray, f0: np.ndarray) -> None:
         self.tab, self.rhs, self.stats = tab, rhs, stats
-        self.k = np.empty((len(tab.c), y.size), dtype=y.dtype)
+        self.rows = _stage_rows(len(tab.c), y.size, y.dtype)
+        self.k = self.rows[:, :y.size]
         self.k[0] = f0
         self.k0_valid = True             # k[0] holds rhs(t, y) for this (t, y)
 
     def trial(self, t: float, y: np.ndarray, h: float
               ) -> tuple[np.ndarray, np.ndarray]:
         """The propagated state after a step h from (t, y), and its error."""
-        tab, k, rhs = self.tab, self.k, self.rhs
-        n_stages = len(tab.c)
+        tab, k, rows, rhs = self.tab, self.k, self.rows, self.rhs
+        n, n_stages = y.size, len(tab.c)
         if not self.k0_valid:
             k[0] = rhs(t, y)
             self.stats.n_rhs += 1
             self.k0_valid = True
         for i in range(1, n_stages):
-            yi = y + h * (tab.a[i, :i] @ k[:i])
+            yi = y + h * (tab.a[i, :i] @ rows[:i])[:n]
             k[i] = rhs(t + tab.c[i] * h, yi)
         self.stats.n_rhs += n_stages - 1
-        return y + h * (tab.b @ k), h * (tab.e @ k)
+        return y + h * (tab.b @ rows)[:n], h * (tab.e @ rows)[:n]
 
     def interpolate(self, y: np.ndarray, h: float, theta: np.ndarray
                     ) -> np.ndarray:
@@ -408,7 +415,8 @@ class _LawsonStages:
     The stages advance u(s) = E(-s) yhat(t + s), whose slope E(-s) Nhat
     holds only the rest Nhat = T f - lam yhat of the right-hand side, so
     the linear part is stepped exactly.  k[j] is stage j's pulled-back
-    slope E(-c_j h) Nhat_j; k[0] carries Nhat(t, y) between steps.
+    slope E(-c_j h) Nhat_j, the first n columns of ``rows[j]`` (see
+    :func:`_stage_rows`); k[0] carries Nhat(t, y) between steps.
     """
 
     def __init__(self, tab: _Tableau, rhs, linear: LinearPart,
@@ -417,7 +425,8 @@ class _LawsonStages:
         self.lam, self.forward, self.inverse = (
             linear.eigenvalues, linear.forward, linear.inverse)
         self.yhat = self.forward(y)
-        self.k = np.empty((len(tab.c), y.size), dtype=complex)
+        self.rows = _stage_rows(len(tab.c), y.size, complex)
+        self.k = self.rows[:, :y.size]
         self.k[0] = self.forward(f0) - self.lam * self.yhat
         self.k0_valid = True
         # E(c h) is needed at every stage node c and at c = 1 for the step;
@@ -434,9 +443,9 @@ class _LawsonStages:
               ) -> tuple[np.ndarray, np.ndarray]:
         """The propagated state after a step h from (t, y), and its error,
         both in the original variables."""
-        tab, k, rhs, lam = self.tab, self.k, self.rhs, self.lam
-        forward, inverse = self.forward, self.inverse
-        n_stages = len(tab.c)
+        tab, k, rows, lam = self.tab, self.k, self.rows, self.lam
+        rhs, forward, inverse = self.rhs, self.forward, self.inverse
+        n, n_stages = y.size, len(tab.c)
         if not self.k0_valid:
             k[0] = forward(rhs(t, y)) - lam * self.yhat
             self.stats.n_rhs += 1
@@ -445,7 +454,7 @@ class _LawsonStages:
                   for c in self.nodes}
         for i in range(1, n_stages):
             e = growth.get(tab.c[i])
-            yhat_i = self.yhat + h * (tab.a[i, :i] @ k[:i])
+            yhat_i = self.yhat + h * (tab.a[i, :i] @ rows[:i])[:n]
             if e is not None:
                 yhat_i = e * yhat_i
             y_i = inverse(yhat_i)
@@ -460,10 +469,10 @@ class _LawsonStages:
             # c = 1 and a[-1] = b: the last stage is the propagated solution.
             self.pending = (yhat_i, nhat_i)
         else:
-            yhat_i = e * (self.yhat + h * (tab.b @ k))
+            yhat_i = e * (self.yhat + h * (tab.b @ rows)[:n])
             y_i = inverse(yhat_i)
             self.pending = (yhat_i, None)
-        return y_i, inverse(e * (h * (tab.e @ k)))
+        return y_i, inverse(e * (h * (tab.e @ rows)[:n]))
 
     def accept(self) -> None:
         self.yhat, nhat = self.pending

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pcdnse import config, experiments
+from pcdnse import cli, config, experiments
 from pcdnse.collective import SolitonCoords, stable_soliton
 from pcdnse.config import ConfigError, normalize_config
 from pcdnse.experiments import (
@@ -757,13 +757,122 @@ def test_run_jobs_runs_in_order_and_keeps_the_rows_that_finish(
                           f"b_{i}": {"y": np.array([0.5])}}
 
     monkeypatch.chdir(tmp_path)
-    rows, failures, tables = experiments._run_jobs(job, [(0,), (1,), (2,)])
+    report, tables = experiments._run_jobs("figX", job, [(0,), (1,), (2,)])
     assert calls == [(i, threading.get_ident()) for i in range(3)]
-    assert rows == [{"i": 0}, {"i": 2}]
-    assert failures == ["ValueError: sub-run 1 broke"]
+    # the one report shape, its checks left for the runner to fill
+    assert report == {"experiment": "figX", "rows": [{"i": 0}, {"i": 2}],
+                      "checks": {},
+                      "failures": ["ValueError: sub-run 1 broke"]}
     # the tables of the sub-runs that finished, and nothing of the other
     assert list(tables) == ["a_0", "b_0", "a_2", "b_2"]
     np.testing.assert_array_equal(tables["a_2"]["x"], [2.0, 3.0])
     np.testing.assert_array_equal(tables["b_2"]["y"], [0.5])
     # nothing is written
     assert list(tmp_path.iterdir()) == []
+
+
+#: Each figure's sub-run, a fixed row for a job, and the names of the
+#: checks each job's row adds, by the job's first argument in job order.
+FIXED_SUB_RUNS = {
+    "fig3b": ("_fig3_single_size", lambda sites, delta: {
+        "delta": delta, "weak_coupling_ok": delta == -0.1,
+        "linf_rel_langevin_vs_lattice": 0.01 if delta == -0.1 else 0.2}, {
+        800: ["weak_detuning_agrees", "weak_detuning_within_advisory"],
+        400: ["strong_detuning_disagrees", "strong_detuning_flagged"]}),
+    "fig4": ("_fig4_single_gamma", lambda gamma: {
+        "gamma": gamma, "g_gamma_psi4": 0.0, "measured_rate": 1.0,
+        "predicted_rate": 1.0, "relative_error": 0.0}, {
+        0.0125: ["damping_matches_gamma_0p0125"],
+        0.025: ["damping_matches_gamma_0p025"],
+        0.05: ["damping_matches_gamma_0p05"],
+        0.1: ["damping_matches_gamma_0p1"],
+        -0.0125: ["damping_matches_gamma_m0p0125"]}),
+    "fig5": ("_fig5_single_delta", lambda delta, gamma, full: {
+        "delta": delta, "max_peak_deviation": 0.0,
+        "breakup_time": 100.0 if delta == 0.3 else None,
+        "envelope_non_increasing": True}, {
+        -0.1: ["negative_perturbation_survives"],
+        0.01: ["small_perturbation_bounded",
+               "small_perturbation_envelope_contracts"],
+        0.3: ["large_perturbation_breaks_up"]}),
+    "fig6": ("_fig6_single_gamma", lambda gamma: {
+        "gamma": gamma, "max_ratio_deviation": 0.0,
+        "pre_collision_band": 0.0, "final_ratio": 0.9}, {
+        0.0: ["conservative_ratio_within_band"],
+        0.01: ["dissipative_pre_collision_within_band",
+               "collision_enhances_dissipation"]}),
+}
+
+
+def _fixed_report(monkeypatch, figure, fail=None) -> dict:
+    """The report of ``figure`` with its sub-run returning fixed rows, so
+    nothing is solved; the job whose first argument is ``fail`` raises."""
+    name, row, _ = FIXED_SUB_RUNS[figure]
+
+    def sub_run(*job):
+        if job[0] == fail:
+            raise RuntimeError(f"sub-run {job[0]} broke")
+        return row(*job), {}
+
+    monkeypatch.setattr(experiments, name, sub_run)
+    report, _ = EXPERIMENTS[figure]()
+    return report
+
+
+@pytest.mark.parametrize("figure", sorted(FIXED_SUB_RUNS))
+def test_a_figure_reports_its_checks_in_order(monkeypatch, capsys, figure):
+    report = _fixed_report(monkeypatch, figure)
+    names = [name for names in FIXED_SUB_RUNS[figure][2].values()
+             for name in names]
+    assert report["experiment"] == figure
+    assert report["failures"] == []
+    assert len(report["rows"]) == len(FIXED_SUB_RUNS[figure][2])
+    assert list(report["checks"]) == names
+    assert all(report["checks"].values())
+    # pcdnse experiment prints them in that order
+    assert cli._print_checks(report) == 0
+    assert capsys.readouterr().out.split() == [
+        word for name in names for word in (f"{name}:", "PASS")]
+
+
+@pytest.mark.parametrize("figure, fail", [
+    (figure, key) for figure, (_, _, checks) in sorted(FIXED_SUB_RUNS.items())
+    for key in checks])
+def test_a_sub_run_that_raises_lands_in_failures(monkeypatch, figure, fail):
+    report = _fixed_report(monkeypatch, figure, fail)
+    checks = FIXED_SUB_RUNS[figure][2]
+    assert report["failures"] == [f"RuntimeError: sub-run {fail} broke"]
+    assert len(report["rows"]) == len(checks) - 1
+    assert list(report["checks"]) == [
+        name for key, names in checks.items() if key != fail
+        for name in names]
+
+
+#: BLAS and OpenMP thread-count variables, set alike for one run.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_a_run_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # n = 1001 is no multiple of 8: summed over unpadded stage rows, a
+    # product split between two BLAS threads gave other bits than one
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": "pcdnse", "effective": {"g": -0.5, "gamma": 0.05},
+        "grid": {"domain_length": 100.1, "n_points": 1001},
+        "initial": {"soliton": {"psi": 1.0, "x0": 50.0, "v": 0.5}},
+        "run": {"t_final": 2.0, "snapshots": 3}}))
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        env = {**os.environ, **dict.fromkeys(THREAD_VARS, threads),
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "pcdnse.cli", "simulate",
+                        "--config", str(config), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    # the config echo, the diagnostics, the manifest and three snapshots
+    assert len(trees[0]) == 6
+    assert trees[0] == trees[1]

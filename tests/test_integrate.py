@@ -275,12 +275,6 @@ def test_preset_table_frozen():
     assert SOLVER_PRESETS["langevin"].method == "rkf78"
 
 
-def test_time_series_validates_ordering():
-    from pcdnse.integrate import SolveStats, TimeSeries
-    with pytest.raises(ValueError):
-        TimeSeries(np.array([0.0, 0.0]), np.zeros((2, 1)), SolveStats())
-
-
 # ---------------------------------------------------------------------------
 # integrating-factor (Lawson) stepping
 
